@@ -5,10 +5,13 @@ Commands: ``solve`` (full report), ``analyze`` (components and polytope),
 user-supplied potential pair) and ``oracle`` (dual solve against the
 projection solver).
 
-Exit codes: 0 success, 1 input error (message names the offending field),
-2 non-convergence or tolerance failure (a report is still written when one
-exists), 3 verification rejected. The environment variable ``QROT_SEED``
-overrides ``--seed``.
+Exit codes: 0 success, 1 input error (message names the offending field, or
+the file that is missing, a directory or not readable), 2 non-convergence or
+tolerance failure (a report is still written when one exists; a dual decrease,
+potentials inconsistent with their support and a projection that does not
+converge end here too), 3 verification rejected. Every error prints one
+``error: ...`` line, never a traceback. The environment variable
+``QROT_SEED`` overrides ``--seed``.
 """
 
 import argparse
@@ -26,7 +29,7 @@ from .model import (
     with_epsilon,
 )
 from .polytope import compute_polytope, sample_shifts, verify_potentials
-from .projection import ProjectionError, project
+from .projection import project
 from .solver import NORMALIZATIONS, SolverConfig, solve, solve_symmetric
 from .sparsity import Grid1D, epsilon_sweep, sweep_to_csv
 from .support import components, support_set
@@ -192,10 +195,9 @@ def cmd_sweep(args):
         raise ValidationError("sweep requires an instance with a quadratic_1d generator")
     grid = Grid1D(xs=loaded.x, mu=inst.mu, ys=loaded.y, nu=inst.nu)
     eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
-    cfg = _config(args)
-    result = epsilon_sweep(grid, eps_list, args.delta, cfg)
     if args.out is None:
         raise ValidationError("sweep requires --out for the CSV path")
+    result = epsilon_sweep(grid, eps_list, args.delta, _config(args))
     sweep_to_csv(result, args.out)
     return 0 if all(r.converged for r in result.reports) else 2
 
@@ -229,11 +231,7 @@ def cmd_oracle(args):
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
     cd_dual = density_from_potentials(inst, p)
-    try:
-        cd_proj = project(inst)
-    except ProjectionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    cd_proj = project(inst)
     diff = float(np.max(np.abs(cd_dual.z - cd_proj.z)))
     from .model import primal_objective
 
@@ -304,12 +302,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
+    except RuntimeError as exc:
+        # a dual decrease in solve, PotentialConsistencyError, ProjectionError
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2
 
 
 def entry():

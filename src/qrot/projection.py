@@ -91,7 +91,6 @@ def project_point(inst, point, tol=1e-10, max_iter=1_000_000):
         pre_clip = z - state.correction
         z = np.maximum(pre_clip, 0.0)
         state.correction = z - pre_clip
-        assert np.all(state.correction >= 0.0)
         state.z = z
         state.last_change = float(np.max(np.abs(z - previous)))
         if state.last_change <= tol:

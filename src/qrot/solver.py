@@ -3,9 +3,13 @@
 Each coordinate update solves its marginal equation exactly: with the other
 potential held fixed, the map ``t -> sum_j w[j] * (t - theta[j])_+`` is
 piecewise linear, continuous, nondecreasing and strictly increasing where
-positive, so for a positive target the root is unique and can be located by
-scanning the sorted breakpoints. No inner iteration and no tolerance enter a
-single update; only the outer sweep loop is iterative.
+positive, so for a positive target the root is unique. It is found by a
+finite active-set iteration (as in Michelot's and Condat's simplex
+projections): solve the linear equation over the current set of active
+breakpoints, drop the breakpoints above that solution, and repeat until
+the set stops changing. The set only shrinks, so at most ``m`` passes run, and
+the last solution is the exact root: no tolerance, no Newton step. Only the
+outer sweep loop is iterative.
 
 The same kernel covers the self-transport mode: the diagonal term
 ``mu_tilde[i] * (2 t - c[i, i])_+`` is rewritten as a breakpoint at
@@ -22,7 +26,6 @@ from .model import (
     density_from_potentials,
     dual_objective,
     duality_gap,
-    marginal_residuals,
     shift_potentials,
 )
 
@@ -78,35 +81,42 @@ class RowEquation:
 
 
 def _pw_roots(thresholds, weights, targets):
-    """Roots of ``sum_k w[r, k] (t - th[r, k])_+ = targets[r]``, one per row.
+    """Roots of ``sum_k w[k] (t - th[r, k])_+ = targets[r]``, one per row.
 
-    Sort the breakpoints of each row, accumulate slopes, evaluate the function
-    at the breakpoints, and solve the linear equation on the segment whose
-    value range brackets the target. Targets must be strictly positive, which
-    makes each root unique. Exact up to floating point; no iteration.
+    Returns ``(roots, passes)``. Active-set iteration: start with every
+    breakpoint active, set ``t = (target + sum_A w th) / sum_A w``, drop the
+    breakpoints with ``th > t`` and repeat until no row's active set changes.
+    The linear function over any set of breakpoints lies below the true one,
+    so each ``t`` lies at or above the root and no breakpoint below the root
+    is ever dropped; ``t`` decreases as the set shrinks, and a stable set
+    solves the equation exactly, with no tolerance. ``passes`` counts the
+    evaluations of ``t``. A row whose set did not change recomputes the same
+    ``t``, so it never changes again, and a row keeps at least one breakpoint;
+    hence ``passes`` never exceeds the row length ``m``. Targets must be
+    strictly positive, which makes each root unique. ``t`` is floored at the
+    row's smallest breakpoint, which keeps that breakpoint active under
+    rounding too.
     """
     th = np.atleast_2d(np.asarray(thresholds, dtype=float))
     w = np.asarray(weights, dtype=float)
-    if w.ndim == 1:
-        w = np.broadcast_to(w, th.shape)
-    order = np.argsort(th, axis=1, kind="stable")
-    th = np.take_along_axis(th, order, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    slopes = np.cumsum(w, axis=1)
-    values = np.zeros_like(th)
-    if th.shape[1] > 1:
-        values[:, 1:] = np.cumsum(slopes[:, :-1] * np.diff(th, axis=1), axis=1)
     targets = np.asarray(targets, dtype=float).reshape(-1)
-    # first breakpoint with value >= target; its left neighbor starts the
-    # bracketing segment (values[:, 0] = 0 < target, so j >= 0)
-    j = np.sum(values < targets[:, None], axis=1) - 1
-    rows = np.arange(th.shape[0])
-    return th[rows, j] + (targets - values[rows, j]) / slopes[rows, j]
+    floor = th.min(axis=1)
+    active = np.ones(th.shape, dtype=bool)
+    count = active.size
+    for passes in range(1, th.shape[1] + 1):
+        t = np.maximum((targets + (th * active) @ w) / (active @ w), floor)
+        active &= th <= t[:, None]
+        remaining = np.count_nonzero(active)
+        if remaining == count:  # the set only shrinks, so it is stable
+            break
+        count = remaining
+    return t, passes
 
 
 def solve_row_equation(eq):
     """Exact root of a single piecewise-linear marginal equation."""
-    return float(_pw_roots(eq.thresholds, eq.weights, [eq.target])[0])
+    roots, _ = _pw_roots(eq.thresholds, eq.weights, [eq.target])
+    return float(roots[0])
 
 
 def sweep(inst, p):
@@ -117,8 +127,8 @@ def sweep(inst, p):
     dual objective in its coordinate, so the dual value never decreases along
     a sweep.
     """
-    f = _pw_roots(inst.cost - p.g[None, :], inst.nu_tilde, inst.epsilon * inst.mu_ratio)
-    g = _pw_roots(inst.cost.T - f[None, :], inst.mu_tilde, inst.epsilon * inst.nu_ratio)
+    f, _ = _pw_roots(inst.cost - p.g[None, :], inst.nu_tilde, inst.epsilon * inst.mu_ratio)
+    g, _ = _pw_roots(inst.cost.T - f[None, :], inst.mu_tilde, inst.epsilon * inst.nu_ratio)
     return Potentials(f=f, g=g)
 
 
@@ -132,17 +142,31 @@ def _normalize(p, mode):
     raise ValidationError(f"unknown normalization {mode!r}")
 
 
-def _residual_norm(inst, p):
-    cd = density_from_potentials(inst, p)
-    row, col = marginal_residuals(inst, cd)
+def _density(inst, p):
+    """Density matrix of ``p``, without the copies and checks of a ``CouplingDensity``."""
+    return np.maximum(0.0, (p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon)
+
+
+def _residual(inst, z):
+    """Worst absolute row or column residual of the density matrix ``z``."""
+    row = z @ inst.nu_tilde - inst.mu_ratio
+    col = inst.mu_tilde @ z - inst.nu_ratio
     return max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
+
+
+def _dual_value(inst, p, z):
+    """:func:`dual_objective` at ``p`` from its density ``z``; the penalty takes two matvecs."""
+    penalty = 0.5 * inst.epsilon * float(inst.mu_tilde @ ((z * z) @ inst.nu_tilde))
+    return float(p.f @ inst.mu + p.g @ inst.nu - penalty)
 
 
 def solve(inst, cfg=None, init=None):
     """Solve the dual by exact cyclic coordinate ascent.
 
     Iterates :func:`sweep` until the worst marginal residual falls below
-    ``cfg.tol_residual`` or ``cfg.max_sweeps`` is exhausted; the configured
+    ``cfg.tol_residual`` or ``cfg.max_sweeps`` is exhausted. Each sweep
+    builds the density once and takes the residual and, with
+    ``cfg.check_monotone``, the dual value from it. The configured
     normalization shift is applied once after the loop (shifts do not change
     the density). Non-convergence is reported through
     ``report.converged = False``, not raised.
@@ -162,20 +186,21 @@ def solve(inst, cfg=None, init=None):
     cfg = cfg or SolverConfig()
     p = init if init is not None else Potentials(np.zeros(inst.n), np.zeros(inst.m))
     if cfg.check_monotone:
-        dual_prev = dual_objective(inst, p)
+        dual_prev = _dual_value(inst, p, _density(inst, p))
 
     converged = False
     sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
         p = sweep(inst, p)
+        z = _density(inst, p)
         if cfg.check_monotone:
-            dual_now = dual_objective(inst, p)
+            dual_now = _dual_value(inst, p, z)
             if dual_now < dual_prev - 1e-12 * (1.0 + abs(dual_prev)):
                 raise RuntimeError(
                     f"dual objective decreased across a sweep: {dual_prev} -> {dual_now}"
                 )
             dual_prev = dual_now
-        if _residual_norm(inst, p) <= cfg.tol_residual:
+        if _residual(inst, z) <= cfg.tol_residual:
             converged = True
             break
 
@@ -206,7 +231,8 @@ def _symmetric_pass(inst, f):
         th[i] = 0.5 * inst.cost[i, i]
         w = inst.mu_tilde.copy()
         w[i] = 2.0 * inst.mu_tilde[i]  # diagonal term (2t - c_ii)_+ has slope 2 mu_tilde[i]
-        f[i] = _pw_roots(th[None, :], w, [targets[i]])[0]
+        roots, _ = _pw_roots(th[None, :], w, [targets[i]])
+        f[i] = roots[0]
     return f
 
 
@@ -238,7 +264,7 @@ def solve_symmetric(inst, cfg=None, init=None):
         f = f_new
         dual_prev = dual_new
         p = Potentials(f=f, g=f, symmetric=True)
-        if _residual_norm(inst, p) <= cfg.tol_residual:
+        if _residual(inst, _density(inst, p)) <= cfg.tol_residual:
             converged = True
             break
 

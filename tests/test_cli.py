@@ -1,9 +1,13 @@
+import errno
 import json
 import math
 
 import numpy as np
 import pytest
 
+import qrot.cli
+import qrot.io
+import qrot.solver
 from qrot.cli import main
 from qrot.io import (
     canonical_json,
@@ -12,7 +16,8 @@ from qrot.io import (
     instance_from_dict,
     instance_to_dict,
 )
-from qrot import ValidationError
+from qrot import PotentialConsistencyError, Potentials, ValidationError
+from qrot.projection import project
 
 
 def write_json(path, doc):
@@ -130,6 +135,41 @@ class TestSolveCommand:
         rc = main(["solve", "/nonexistent/inst.json"])
         assert rc == 1
 
+    def test_directory_input_exit_one(self, tmp_path, capsys):
+        rc = main(["solve", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_input_exit_one(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+
+        def denied(p):
+            raise PermissionError(errno.EACCES, "Permission denied", p)
+
+        monkeypatch.setattr(qrot.io, "load_instance", denied)
+        rc = main(["solve", path])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+
+    def test_inconsistent_potentials_exit_two(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+
+        def inconsistent(*args):
+            raise PotentialConsistencyError("a[0,1] = -7.4e-08 < 0")
+
+        monkeypatch.setattr(qrot.cli, "compute_polytope", inconsistent)
+        rc = main(["solve", path])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: a[0,1] = -7.4e-08 < 0\n"
+
+    def test_dual_decrease_exit_two(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        # a sweep that lowers both potentials lowers the dual value
+        monkeypatch.setattr(qrot.solver, "sweep", lambda inst, p: Potentials(p.f - 1, p.g - 1))
+        rc = main(["solve", path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: dual objective decreased")
+
     def test_determinism_byte_identical(self, tmp_path):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         out_a = tmp_path / "a.json"
@@ -221,6 +261,15 @@ class TestSweepCommand:
         header = lines[0].split(",")
         assert header[0] == "epsilon" and "containment" in header
 
+    def test_missing_out_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "grid.json", quadratic_doc(8))
+        calls = []
+        monkeypatch.setattr(qrot.cli, "epsilon_sweep", lambda *args: calls.append(args))
+        rc = main(["sweep", path, "--eps-list", "1,0.1", "--delta", "0.2"])
+        assert rc == 1
+        assert "--out" in capsys.readouterr().err
+        assert calls == []
+
     def test_requires_coordinates(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         rc = main(["sweep", path, "--eps-list", "1,0.1", "--delta", "0.1", "--out", "x.csv"])
@@ -269,3 +318,10 @@ class TestOracleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["max_density_diff"] <= 1e-6
+
+    def test_projection_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        monkeypatch.setattr(qrot.cli, "project", lambda inst: project(inst, max_iter=1))
+        rc = main(["oracle", path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: projection did not converge")

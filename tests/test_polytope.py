@@ -233,9 +233,8 @@ class TestVerifyPotentials:
 class TestCompleteness:
     def recover_g(self, inst, f):
         """One exact column pass: the unique g determined by a frozen f."""
-        return _pw_roots(
-            inst.cost.T - f[None, :], inst.mu_tilde, inst.epsilon * inst.nu_ratio
-        )
+        g, _ = _pw_roots(inst.cost.T - f[None, :], inst.mu_tilde, inst.epsilon * inst.nu_ratio)
+        return g
 
     def grid_search_check(self, inst, span=2.0, points=9, tol=1e-6):
         p, report = solve(inst)

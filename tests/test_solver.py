@@ -16,6 +16,7 @@ from qrot import (
     sweep,
     validate_instance,
 )
+from qrot.solver import _pw_roots
 from conftest import (
     bisect_root,
     random_instance,
@@ -56,6 +57,22 @@ class TestRowEquation:
             target = float(rng.uniform(0.01, 5.0))
             root = solve_row_equation(RowEquation(thresholds, weights, target))
             assert root == pytest.approx(bisect_root(thresholds, weights, target), abs=1e-11)
+        # many-row kernel calls: ties, threshold scales 1e-8 to 1e8, m = 1,
+        # rectangular shapes, targets far below the thresholds' spacing
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            for rows, m in ((1, 1), (7, 1), (1, 9), (12, 5), (6, 40)):
+                th = rng.normal(scale=scale, size=(rows, m))
+                if m > 1:
+                    th[::2, 1] = th[::2, 0]  # one tied pair in every other row
+                    th[1::3] = th[1::3, :1]  # every breakpoint tied in every third row
+                w = rng.uniform(0.1, 2.0, size=m)
+                targets = rng.uniform(0.01, 5.0, size=rows) * rng.choice([1.0, scale, 1e-12])
+                roots, passes = _pw_roots(th, w, targets)
+                assert 1 <= passes <= m
+                for r in range(rows):
+                    tol = 1e-12 * (1.0 + np.abs(th[r]).max() + targets[r] / w.min())
+                    expected = bisect_root(th[r], w, targets[r])
+                    assert roots[r] == pytest.approx(expected, abs=tol)
 
     def test_nonpositive_target_rejected(self):
         with pytest.raises(ValidationError, match="nonpositive target"):
