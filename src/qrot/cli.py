@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 input error (message names the offending field, or
 the file that is missing, a directory or not readable), 2 non-convergence or
 tolerance failure (a report is still written when one exists; a dual decrease,
 potentials inconsistent with their support and a projection that does not
-converge end here too), 3 verification rejected. Every error prints one
+converge end here too, and so do ``analyze`` reports whose stored potentials
+miss their marginals), 3 verification rejected. Every error prints one
 ``error: ...`` line, never a traceback. The environment variable
 ``QROT_SEED`` overrides ``--seed``.
 """
@@ -26,6 +27,7 @@ from .model import (
     Potentials,
     ValidationError,
     density_from_potentials,
+    marginal_residuals,
     with_epsilon,
 )
 from .polytope import compute_polytope, sample_shifts, verify_potentials
@@ -72,6 +74,14 @@ def _solve(inst, symmetric, cfg):
     if symmetric:
         return solve_symmetric(inst, cfg)
     return solve(inst, cfg)
+
+
+def _check_dimensions(inst, p):
+    if p.f.size != inst.n or p.g.size != inst.m:
+        raise ValidationError(
+            f"dimension mismatch: potentials have sizes ({p.f.size},"
+            f" {p.g.size}), expected ({inst.n}, {inst.m})"
+        )
 
 
 def _analysis_blocks(inst, p, cd, tau_rel):
@@ -156,7 +166,8 @@ def cmd_analyze(args):
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {args.input}: {exc}") from None
 
-    if "potentials" in doc:  # a previously written report: reuse its solve
+    from_report = "potentials" in doc  # a previously written report: check and reuse its solve
+    if from_report:
         inst = qio.instance_from_dict(doc["instance"]).instance
         pot = doc["potentials"]
         p = Potentials(
@@ -164,14 +175,25 @@ def cmd_analyze(args):
             g=np.asarray(pot["g"], float),
             symmetric=bool(pot.get("symmetric", False)),
         )
+        _check_dimensions(inst, p)
     else:
         loaded = qio.instance_from_dict(doc)
         inst = loaded.instance
         if args.eps is not None:
             inst = with_epsilon(inst, args.eps)
-        p, _ = _solve(inst, loaded.symmetric, _config(args))
+        p, _ = _solve(inst, loaded.symmetric or args.symmetric, _config(args))
 
     cd = density_from_potentials(inst, p)
+    if from_report:
+        tol = doc.get("provenance", {}).get("tol_residual", SolverConfig().tol_residual)
+        row, col = marginal_residuals(inst, cd)
+        residual = max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
+        if not residual <= tol:
+            sys.stderr.write(
+                f"error: stored potentials have marginal residual {residual:.3e},"
+                f" above the report's tol_residual {tol:g}\n"
+            )
+            return 2
     support_block, components_block, polytope_block, decomp, pd = _analysis_blocks(
         inst, p, cd, args.tau_rel
     )
@@ -212,11 +234,7 @@ def cmd_verify(args):
     if "f" not in pot or "g" not in pot:
         raise ValidationError("potentials file must contain fields 'f' and 'g'")
     candidate = Potentials(f=np.asarray(pot["f"], float), g=np.asarray(pot["g"], float))
-    if candidate.f.size != inst.n or candidate.g.size != inst.m:
-        raise ValidationError(
-            f"dimension mismatch: potentials have sizes ({candidate.f.size},"
-            f" {candidate.g.size}), expected ({inst.n}, {inst.m})"
-        )
+    _check_dimensions(inst, candidate)
     p, report = _solve(inst, symmetric, _config(args))
     z_star = density_from_potentials(inst, p)
     accepted = verify_potentials(inst, candidate, z_star, tol=args.tol_verify)

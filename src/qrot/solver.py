@@ -11,12 +11,12 @@ the set stops changing. The set only shrinks, so at most ``m`` passes run, and
 the last solution is the exact root: no tolerance, no Newton step. Only the
 outer sweep loop is iterative.
 
-The same kernel covers the self-transport mode: the diagonal term
-``mu_tilde[i] * (2 t - c[i, i])_+`` is rewritten as a breakpoint at
-``c[i, i] / 2`` with doubled weight.
+The self-transport mode runs the same solver: its dual is concave and
+invariant under ``(f, g) -> (g, f)``, so the average ``(f + g) / 2`` of an
+optimal pair is an optimal symmetric potential.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .model import (
     Potentials,
     ValidationError,
     density_from_potentials,
-    dual_objective,
     duality_gap,
     shift_potentials,
 )
@@ -133,7 +132,7 @@ def sweep(inst, p):
 
 
 def _normalize(p, mode):
-    if mode == "none" or p.symmetric:
+    if mode == "none":
         return p
     if mode == "anchor_first_component_zero":
         return shift_potentials(p, -p.f[0])
@@ -222,82 +221,29 @@ def _check_self_transport(inst):
         raise ValidationError("asymmetric input: cost matrix is not symmetric")
 
 
-def _symmetric_pass(inst, f):
-    """Sequential coordinate updates of the single symmetric potential vector."""
-    f = f.copy()
-    targets = inst.epsilon * inst.mu_ratio
-    for i in range(inst.n):
-        th = inst.cost[i] - f
-        th[i] = 0.5 * inst.cost[i, i]
-        w = inst.mu_tilde.copy()
-        w[i] = 2.0 * inst.mu_tilde[i]  # diagonal term (2t - c_ii)_+ has slope 2 mu_tilde[i]
-        roots, _ = _pw_roots(th[None, :], w, [targets[i]])
-        f[i] = roots[0]
-    return f
-
-
-def _symmetric_dual(inst, f):
-    return dual_objective(inst, Potentials(f=f, g=f, symmetric=True))
-
-
 def solve_symmetric(inst, cfg=None, init=None):
-    """Self-transport solver maintaining a single potential vector ``f = g``.
+    """Self-transport solve returning a single potential vector ``f = g``.
 
     Requires ``n = m``, equal marginals, equal references and a symmetric
-    cost. Coordinate updates remain exact piecewise-linear root findings; as a
-    safeguard, a sweep that decreases the symmetric dual value (which exact
-    updates should never produce) is replaced by a line search between the old
-    and new iterates.
+    cost. Runs :func:`solve` and averages its pair to ``(f + g) / 2``, which
+    is optimal because the dual is concave and symmetric; the normalization
+    shift cancels in the average. If the average misses ``cfg.tol_residual``,
+    :func:`solve` runs again from it on the rest of the sweep budget. The
+    report counts the sweeps of all rounds.
     """
     _check_self_transport(inst)
     cfg = cfg or SolverConfig()
-    f = init.f.copy() if init is not None else np.zeros(inst.n)
-    dual_prev = _symmetric_dual(inst, f)
-
+    p = init
     converged = False
     sweeps = 0
-    for sweeps in range(1, cfg.max_sweeps + 1):
-        f_new = _symmetric_pass(inst, f)
-        dual_new = _symmetric_dual(inst, f_new)
-        if dual_new < dual_prev - 1e-12 * (1.0 + abs(dual_prev)):
-            f_new, dual_new = _bisection_fallback(inst, f, f_new, dual_prev)
-        f = f_new
-        dual_prev = dual_new
+    while not converged and sweeps < cfg.max_sweeps:
+        q, report = solve(inst, replace(cfg, max_sweeps=cfg.max_sweeps - sweeps), init=p)
+        sweeps += report.iterations
+        f = 0.5 * (q.f + q.g)
         p = Potentials(f=f, g=f, symmetric=True)
-        if _residual(inst, _density(inst, p)) <= cfg.tol_residual:
-            converged = True
-            break
+        converged = _residual(inst, _density(inst, p)) <= cfg.tol_residual
 
-    p = Potentials(f=f, g=f, symmetric=True)
     report = duality_gap(
         inst, p, density_from_potentials(inst, p), iterations=sweeps, converged=converged
     )
     return p, report
-
-
-def _bisection_fallback(inst, f_old, f_new, dual_old):
-    """Line search on the segment toward the rejected sweep iterate.
-
-    The symmetric dual is concave, hence concave along the segment; a ternary
-    search locates its maximizer to high precision. Falls back to the old
-    iterate if not even the searched point improves.
-    """
-    direction = f_new - f_old
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if _symmetric_dual(inst, f_old + m1 * direction) < _symmetric_dual(
-            inst, f_old + m2 * direction
-        ):
-            lo = m1
-        else:
-            hi = m2
-        if hi - lo < 1e-14:
-            break
-    s = 0.5 * (lo + hi)
-    candidate = f_old + s * direction
-    dual_candidate = _symmetric_dual(inst, candidate)
-    if dual_candidate >= dual_old:
-        return candidate, dual_candidate
-    return f_old, dual_old

@@ -18,6 +18,7 @@ from qrot.io import (
 )
 from qrot import PotentialConsistencyError, Potentials, ValidationError
 from qrot.projection import project
+from conftest import random_symmetric_instance
 
 
 def write_json(path, doc):
@@ -117,13 +118,7 @@ class TestSolveCommand:
         assert "nonpositive weight at mu[1]" in err
 
     def test_sweep_budget_exhaustion_exit_two(self, tmp_path, capsys):
-        doc = {
-            "schema_version": 1,
-            "mu": [0.5, 0.5],
-            "nu": [0.5, 0.5],
-            "cost": ((2.0 + 1.0) * np.eye(2)).tolist(),
-            "symmetric": True,
-        }
+        doc = instance_to_dict(random_symmetric_instance(np.random.default_rng(0)), symmetric=True)
         path = write_json(tmp_path / "hard.json", doc)
         out_path = tmp_path / "report.json"
         rc = main(["solve", path, "--max-sweeps", "1", "--out", str(out_path)])
@@ -227,6 +222,39 @@ class TestAnalyzeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["components"]["count"] == 2
+
+    def test_tampered_report_exit_two(self, tmp_path, capsys):
+        inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        report_path = tmp_path / "report.json"
+        assert main(["solve", inst_path, "--out", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        doc["potentials"]["f"], doc["potentials"]["g"] = [5.0, 0.0], [0.0, 0.0]
+        write_json(report_path, doc)
+        rc = main(["analyze", str(report_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: stored potentials have marginal residual 2.500e+00")
+        assert captured.err.count("\n") == 1
+        doc["potentials"]["f"] = [0.0, 0.0, 0.0]
+        write_json(report_path, doc)
+        assert main(["analyze", str(report_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: dimension mismatch")
+
+    def test_symmetric_flag_honoured(self, tmp_path, capsys, monkeypatch):
+        doc = instance_to_dict(random_symmetric_instance(np.random.default_rng(0)))
+        path = write_json(tmp_path / "inst.json", doc)
+        calls = []
+
+        def recording(inst, cfg):
+            calls.append(inst)
+            return qrot.solver.solve_symmetric(inst, cfg)
+
+        monkeypatch.setattr(qrot.cli, "solve_symmetric", recording)
+        assert main(["analyze", path]) == 0
+        assert calls == []
+        assert main(["analyze", path, "--symmetric"]) == 0
+        assert len(calls) == 1
 
     def test_sampled_shifts_seeded(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
