@@ -12,7 +12,8 @@ potentials inconsistent with their support and a projection that does not
 converge end here too, and so do ``analyze`` reports whose stored potentials
 miss their marginals), 3 verification rejected. Every error prints one
 ``error: ...`` line, never a traceback. The environment variable
-``QROT_SEED`` overrides ``--seed``.
+``QROT_SEED`` overrides ``--seed``; a seed that is negative or not an
+integer, and a negative ``--samples``, exit 1.
 """
 
 import argparse
@@ -45,9 +46,16 @@ DEFAULT_ORACLE_TOL = 1e-6
 
 def _seed(args):
     env = os.environ.get("QROT_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    if env is None:
+        seed, source = args.seed, "--seed"
+    else:
+        try:
+            seed, source = int(env), "QROT_SEED"
+        except ValueError:
+            raise ValidationError(f"QROT_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValidationError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 def _config(args):
@@ -151,15 +159,19 @@ def _emit(text, out_path):
 
 
 def cmd_solve(args):
+    seed = _seed(args)
     loaded, inst, symmetric = _load(args)
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
-    doc = _report_dict(inst, symmetric, p, report, cfg, args.tau_rel, _seed(args))
+    doc = _report_dict(inst, symmetric, p, report, cfg, args.tau_rel, seed)
     _emit(qio.canonical_json(doc), args.out)
     return 0 if report.converged else 2
 
 
 def cmd_analyze(args):
+    seed = _seed(args)
+    if args.samples < 0:
+        raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
     with open(args.input) as fh:
         try:
             doc = json.load(fh)
@@ -202,7 +214,6 @@ def cmd_analyze(args):
         "components": components_block,
         "polytope": polytope_block,
     }
-    seed = _seed(args)
     if args.samples > 0:
         shifts = sample_shifts(pd, args.samples, seed)
         out["sampled_shifts"] = [alpha.tolist() for alpha in shifts]

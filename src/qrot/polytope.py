@@ -10,11 +10,20 @@ before taking slacks so that the constraints live at the unit-regularization
 normalization; :func:`apply_shifts` multiplies by epsilon when shifting the
 stored rescaled potentials.
 
+Every row and column meeting the support carries one component label, so
+``a`` is a label reduction of the slack matrix: rows and columns are sorted
+by label and ``np.minimum.reduceat`` takes the block minima in O(nm), first
+over rows, then over columns; unmatched rows and columns are left out.
+Support cells need no masking, since each lies in a diagonal block, and
+diagonal entries are zero by definition.
+
 Difference-constraint systems are canonical shortest-path objects: the
 min-plus closure of ``a`` gives the tightest bound on each difference, pairs
 whose two-way bounds sum to zero are forced equal, and the dimension of ``T``
 is the number of equivalence classes of that rigidity relation (always at
-least one: the global shift).
+least one: the global shift). Because the closure is tight, any feasible
+partial assignment extends, which lets :func:`sample_shifts` draw one
+coordinate at a time with no repair.
 """
 
 from dataclasses import dataclass
@@ -67,6 +76,25 @@ def _floyd_warshall(a):
     return dist
 
 
+def _axis_labels(decomp):
+    """Component label of every row and every column; -1 where unmatched.
+
+    A row (column) meeting the support lies in exactly one component, so the
+    largest label along it is that component and unmatched lines keep -1.
+    """
+    return decomp.labels.max(axis=1), decomp.labels.max(axis=0)
+
+
+def _label_runs(labels, count):
+    """Lines sorted by label (stable sort), and where each label's run starts.
+
+    Unmatched lines (label -1) sort first, before the first run, where
+    ``np.minimum.reduceat`` over these starts never looks.
+    """
+    order = np.argsort(labels, kind="stable")
+    return order, np.searchsorted(labels[order], np.arange(count))
+
+
 def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
     """Describe all potential pairs reachable from ``p`` by component shifts.
 
@@ -77,7 +105,8 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
         Converged potentials of the instance (duality gap at solver tolerance).
     decomp : ComponentDecomposition
     s : SupportSet
-        Both derived from the density of the same solve.
+        Both derived from the density of the same solve; the labels of
+        ``decomp`` carry the support, so ``s`` is not read again.
     tol : float
         Feasibility and rigidity tolerance.
 
@@ -88,19 +117,17 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
         and the support mask do not belong to a converged solve.
     """
     count = decomp.count
-    slack = (inst.cost - p.f[:, None] - p.g[None, :]) / inst.epsilon
-    off = ~s.mask
-
-    a = np.full((count, count), np.inf)
-    for i in range(count):
-        rows = np.fromiter(decomp.row_projections[i], dtype=int)
-        for j in range(count):
-            if i == j:
-                continue
-            cols = np.fromiter(decomp.col_projections[j], dtype=int)
-            block_off = off[np.ix_(rows, cols)]
-            if block_off.any():
-                a[i, j] = float(slack[np.ix_(rows, cols)][block_off].min())
+    row_label, col_label = _axis_labels(decomp)
+    rows, row_starts = _label_runs(row_label, count)
+    cols, col_starts = _label_runs(col_label, count)
+    # a support cell joins its row and column into one component, so every
+    # support cell lies in a diagonal block, which fill_diagonal overwrites
+    gap = inst.cost[rows]
+    gap -= p.f[rows, None]
+    gap -= p.g[None, :]
+    a = np.minimum.reduceat(gap, row_starts, axis=0)[:, cols]
+    # dividing by epsilon > 0 is monotone, so it commutes exactly with the minimum
+    a = np.minimum.reduceat(a, col_starts, axis=1) / inst.epsilon
     np.fill_diagonal(a, 0.0)
 
     if np.any(a < -tol):
@@ -113,7 +140,7 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
     if np.any(np.diag(dist) < -tol):
         raise PotentialConsistencyError("potentials inconsistent with support: negative cycle")
 
-    rigid = []
+    rigid = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(dist + dist.T <= tol, 1)))
     uf_parent = list(range(count))
 
     def find(i):
@@ -122,12 +149,12 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
             i = uf_parent[i]
         return i
 
-    for i in range(count):
-        for j in range(i + 1, count):
-            if dist[i, j] + dist[j, i] <= tol:
-                rigid.append((i, j))
-                uf_parent[find(i)] = find(j)
-    dimension = len({find(i) for i in range(count)})
+    dimension = count
+    for i, j in rigid:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            uf_parent[ri] = rj
+            dimension -= 1
 
     a.setflags(write=False)
     dist.setflags(write=False)
@@ -136,7 +163,7 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
         a=a,
         dist=dist,
         dimension=dimension,
-        rigid_pairs=tuple(rigid),
+        rigid_pairs=rigid,
     )
 
 
@@ -151,11 +178,16 @@ def _max_violation(pd, alpha):
 def sample_shifts(pd, k, seed):
     """Draw ``k`` shift vectors from the polytope, anchored at ``alpha[0] = 0``.
 
-    Each remaining coordinate is drawn uniformly inside its two-sided
-    shortest-path bound against the anchor, then repaired by 50 rounds of
-    cyclic projection onto the pairwise constraints and the anchor plane.
-    Every returned vector is verified against all constraints to 1e-9; the
-    repair cannot fail on a feasible polytope containing the origin.
+    Coordinates are drawn in order: ``alpha[i]`` is uniform on
+    ``[max_{j<i} alpha[j] - dist[j, i], min_{j<i} alpha[j] + dist[i, j]]``,
+    the range the closure ``dist`` leaves it given the coordinates before it.
+    That interval is never empty, since a feasible partial assignment of a
+    closed difference-constraint system always extends, so no repair is
+    needed. An unbounded side is cut ``2 * big`` from the other side, or at
+    ``-big`` / ``big`` when both are unbounded, where ``big`` exceeds every
+    finite ``|dist|``. The ``k`` vectors are drawn together, one coordinate
+    per step, and the output is deterministic in ``seed``. Every returned
+    vector is verified against all constraints to 1e-9.
     """
     count = pd.n_components
     rng = np.random.default_rng(seed)
@@ -163,31 +195,19 @@ def sample_shifts(pd, k, seed):
     finite = np.isfinite(dist)
     big = float(np.max(np.abs(dist[finite]))) + 1.0 if finite.any() else 1.0
 
-    lo = np.where(np.isfinite(dist[0, :]), -dist[0, :], -big)
-    hi = np.where(np.isfinite(dist[:, 0]), dist[:, 0], big)
+    u = rng.random((max(k, 0), count))
+    alpha = np.zeros_like(u)
+    for i in range(1, count):
+        lo = np.max(alpha[:, :i] - dist[:i, i], axis=1)
+        hi = np.min(alpha[:, :i] + dist[i, :i], axis=1)
+        lo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, big) - 2.0 * big)
+        hi = np.where(np.isfinite(hi), hi, lo + 2.0 * big)
+        alpha[:, i] = lo + (hi - lo) * u[:, i]
 
-    pairs = [
-        (i, j)
-        for i in range(count)
-        for j in range(count)
-        if i != j and np.isfinite(dist[i, j])
-    ]
-    out = []
-    for _ in range(k):
-        alpha = np.zeros(count)
-        for i in range(1, count):
-            alpha[i] = rng.uniform(lo[i], hi[i])
-        for _round in range(50):
-            for i, j in pairs:
-                excess = alpha[i] - alpha[j] - dist[i, j]
-                if excess > 0:
-                    alpha[i] -= 0.5 * excess
-                    alpha[j] += 0.5 * excess
-            alpha[0] = 0.0
-        if _max_violation(pd, alpha) > 1e-9:
-            raise AssertionError("shift repair failed on a feasible polytope")
-        out.append(alpha)
-    return out
+    for row in alpha:
+        if _max_violation(pd, row) > 1e-9:
+            raise AssertionError("sampled shift violates a constraint of a feasible polytope")
+    return list(alpha)
 
 
 def apply_shifts(p, decomp, alpha, eps, pd=None):
@@ -207,13 +227,13 @@ def apply_shifts(p, decomp, alpha, eps, pd=None):
     if pd is not None and _max_violation(pd, alpha) > 1e-9:
         raise ValidationError("shift vector violates a polytope constraint")
 
+    row_label, col_label = _axis_labels(decomp)
+    rows = row_label >= 0
+    cols = col_label >= 0
     f = p.f.copy()
     g = p.g.copy()
-    for cid in range(decomp.count):
-        rows = list(decomp.row_projections[cid])
-        cols = list(decomp.col_projections[cid])
-        f[rows] += eps * alpha[cid]
-        g[cols] -= eps * alpha[cid]
+    f[rows] += eps * alpha[row_label[rows]]
+    g[cols] -= eps * alpha[col_label[cols]]
     return Potentials(f=f, g=g)
 
 
@@ -234,17 +254,16 @@ def mirror_pairing(decomp):
     column projection of ``i`` and vice versa; self-transport supports always
     admit such a pairing. Raises when the support is not symmetric.
     """
-    mirror = [-1] * decomp.count
+    rows = [frozenset(r) for r in decomp.row_projections]
+    cols = [frozenset(c) for c in decomp.col_projections]
+    # projections of distinct components are disjoint, so the keys are unique
+    by_projections = {key: j for j, key in enumerate(zip(rows, cols))}
+    mirror = []
     for i in range(decomp.count):
-        for j in range(decomp.count):
-            if (
-                set(decomp.row_projections[j]) == set(decomp.col_projections[i])
-                and set(decomp.col_projections[j]) == set(decomp.row_projections[i])
-            ):
-                mirror[i] = j
-                break
-        if mirror[i] < 0:
+        j = by_projections.get((cols[i], rows[i]))
+        if j is None:
             raise ValidationError("support is not symmetric: no mirror component found")
+        mirror.append(j)
     return tuple(mirror)
 
 
@@ -265,15 +284,10 @@ def symmetric_shift_interval(pd, mirror, pair):
     direction = np.zeros(pd.n_components)
     direction[i] = 1.0
     direction[j] = -1.0
-    lo, hi = -np.inf, np.inf
-    for p_ in range(pd.n_components):
-        for q in range(pd.n_components):
-            if p_ == q or not np.isfinite(pd.dist[p_, q]):
-                continue
-            coeff = direction[p_] - direction[q]
-            bound = pd.dist[p_, q]
-            if coeff > 0:
-                hi = min(hi, bound / coeff)
-            elif coeff < 0:
-                lo = max(lo, bound / coeff)
+    coeff = direction[:, None] - direction[None, :]
+    bound = np.isfinite(pd.dist) & ~np.eye(pd.n_components, dtype=bool)
+    up = bound & (coeff > 0)
+    down = bound & (coeff < 0)
+    hi = np.min(pd.dist[up] / coeff[up], initial=np.inf)
+    lo = np.max(pd.dist[down] / coeff[down], initial=-np.inf)
     return float(lo), float(hi)

@@ -92,6 +92,33 @@ def random_symmetric_instance(rng, n=5, eps=1.0, equal_refs=False):
     return validate_instance(mu, mu, cost, mu_tilde=mu_tilde, nu_tilde=mu_tilde, epsilon=eps)
 
 
+def block_instance(rng, k, rows=2, cols=2, spread=0.3):
+    """``k`` diagonal blocks of ``rows x cols`` cells, one support component each.
+
+    Cost is U[0, 1] inside a block and 3 between blocks, marginals are
+    balanced per block and stay within ``spread`` of uniform, references are
+    random and epsilon is ``1 / (k * rows)``.
+    """
+    n, m = k * rows, k * cols
+    cost = np.full((n, m), 3.0)
+    mu = rng.uniform(1.0 - spread, 1.0 + spread, n)
+    nu = rng.uniform(1.0 - spread, 1.0 + spread, m)
+    for b in range(k):
+        r, c = slice(b * rows, (b + 1) * rows), slice(b * cols, (b + 1) * cols)
+        cost[r, c] = rng.uniform(0.0, 1.0, (rows, cols))
+        nu[c] *= mu[r].sum() / nu[c].sum()
+    mu_tilde = rng.uniform(1.0 - spread, 1.0 + spread, n)
+    nu_tilde = rng.uniform(1.0 - spread, 1.0 + spread, m)
+    return validate_instance(
+        mu / mu.sum(),
+        nu / nu.sum(),
+        cost,
+        mu_tilde=mu_tilde / mu_tilde.sum(),
+        nu_tilde=nu_tilde / nu_tilde.sum(),
+        epsilon=1.0 / n,
+    )
+
+
 def random_feasible_density(rng, inst, n_plans=3):
     """Random point of the coupling-density set, without running any solver.
 

@@ -275,6 +275,34 @@ class TestAnalyzeCommand:
         flag_doc = json.loads(capsys.readouterr().out)
         assert env_doc["sampled_shifts"] == flag_doc["sampled_shifts"]
 
+    def test_negative_seed_exit_one(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        rc = main(["analyze", path, "--samples", "1", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed must be nonnegative")
+        assert captured.err.count("\n") == 1
+
+    def test_non_integer_env_seed_exit_one(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        monkeypatch.setenv("QROT_SEED", "abc")
+        rc = main(["analyze", path, "--samples", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: QROT_SEED must be an integer")
+        assert captured.err.count("\n") == 1
+
+    def test_negative_samples_exit_one(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        rc = main(["analyze", path, "--samples", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --samples must be nonnegative")
+        assert captured.err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_csv_rows(self, tmp_path):

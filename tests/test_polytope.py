@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from qrot import (
+    ComponentDecomposition,
+    PolytopeDescription,
     Potentials,
     PotentialConsistencyError,
+    SupportSet,
     ValidationError,
     apply_shifts,
     components,
@@ -20,6 +23,7 @@ from qrot import (
 )
 from qrot.solver import _pw_roots
 from conftest import (
+    block_instance,
     offdiag_family,
     random_instance,
     two_point_offdiag,
@@ -35,6 +39,124 @@ def analyze(inst, symmetric=False):
     d = components(s)
     pd = compute_polytope(inst, p, d, s)
     return p, cd, s, d, pd
+
+
+def brute_polytope(inst, p, decomp, s, tol=1e-9):
+    """``a``, ``dist``, rigid pairs and dimension, one component block at a time."""
+    count = decomp.count
+    slack = (inst.cost - p.f[:, None] - p.g[None, :]) / inst.epsilon
+    off = ~s.mask
+    a = np.full((count, count), np.inf)
+    for i in range(count):
+        rows = list(decomp.row_projections[i])
+        for j in range(count):
+            if i == j:
+                continue
+            cols = list(decomp.col_projections[j])
+            block_off = off[np.ix_(rows, cols)]
+            if block_off.any():
+                a[i, j] = float(slack[np.ix_(rows, cols)][block_off].min())
+    np.fill_diagonal(a, 0.0)
+    dist = a.copy()
+    for k in range(count):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    rigid = tuple(
+        (i, j)
+        for i in range(count)
+        for j in range(i + 1, count)
+        if dist[i, j] + dist[j, i] <= tol
+    )
+    cls = list(range(count))
+    for i, j in rigid:
+        old, new = cls[i], cls[j]
+        cls = [new if c == old else c for c in cls]
+    return a, dist, rigid, len(set(cls))
+
+
+def grouped_rigid_instance(n=40, group=3):
+    """Identity support; components in one group of ``group`` are forced equal.
+
+    With uniform marginals and epsilon 1 the diagonal density is ``n``, so
+    ``f_i + g_i = n``. Off-diagonal cost ``n`` inside a group and ``n + 1``
+    across groups makes ``a[i, j] + a[j, i]`` vanish exactly inside a group.
+    """
+    groups = np.arange(n) // group
+    cost = (n + (groups[:, None] != groups[None, :])) * (1.0 - np.eye(n))
+    return validate_instance(np.ones(n) / n, np.ones(n) / n, cost)
+
+
+def assert_matches_brute(inst, p, d, s):
+    pd = compute_polytope(inst, p, d, s)
+    a, dist, rigid, dimension = brute_polytope(inst, p, d, s)
+    np.testing.assert_array_equal(pd.a, a)
+    np.testing.assert_array_equal(pd.dist, dist)
+    assert pd.rigid_pairs == rigid
+    assert pd.dimension == dimension
+    return pd
+
+
+class TestPolytopeOracle:
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_block_instances(self, k):
+        for seed in range(2):
+            inst = block_instance(np.random.default_rng([k, seed]), k)
+            p, cd, s, d, _ = analyze(inst)
+            assert d.count == k
+            pd = assert_matches_brute(inst, p, d, s)
+            assert pd.dimension == k
+
+    def test_rectangular_blocks(self):
+        inst = block_instance(np.random.default_rng(21), 6, rows=2, cols=3)
+        assert (inst.n, inst.m) == (12, 18)
+        p, cd, s, d, _ = analyze(inst)
+        assert d.count == 6
+        assert_matches_brute(inst, p, d, s)
+
+    def test_rigid_groups(self):
+        inst = grouped_rigid_instance()
+        p, cd, s, d, _ = analyze(inst)
+        assert d.count == 40
+        pd = assert_matches_brute(inst, p, d, s)
+        # 13 groups of three and one singleton
+        assert pd.dimension == 14
+        assert len(pd.rigid_pairs) == 13 * 3
+
+    def test_unmatched_row_and_column(self):
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[[0, 1], 0] = True
+        mask[2, [1, 2]] = True
+        labels = np.full((4, 4), -1)
+        labels[[0, 1], 0] = 0
+        labels[2, [1, 2]] = 1
+        s = SupportSet(mask=mask, tau=0.0)
+        d = ComponentDecomposition(
+            labels=labels,
+            row_projections=((0, 1), (2,)),
+            col_projections=((0,), (1, 2)),
+            count=2,
+            unmatched_rows=(3,),
+            unmatched_cols=(3,),
+        )
+        built = components(s)
+        np.testing.assert_array_equal(built.labels, labels)
+        assert (built.row_projections, built.col_projections) == (
+            d.row_projections,
+            d.col_projections,
+        )
+        assert (built.unmatched_rows, built.unmatched_cols) == ((3,), (3,))
+        rng = np.random.default_rng(5)
+        inst = validate_instance(
+            np.full(4, 0.25), np.full(4, 0.25), rng.uniform(1.0, 2.0, (4, 4)), epsilon=0.5
+        )
+        p = Potentials(f=rng.uniform(0.0, 0.5, 4), g=rng.uniform(0.0, 0.5, 4))
+        pd = assert_matches_brute(inst, p, d, s)
+        slack = (inst.cost - p.f[:, None] - p.g[None, :]) / inst.epsilon
+        assert pd.a[0, 1] == slack[:2, 1:3].min()
+        assert pd.a[1, 0] == slack[2, 0]
+        # the unmatched row and column keep their values under a shift
+        q = apply_shifts(p, d, np.array([0.0, 0.5]), inst.epsilon, pd)
+        np.testing.assert_array_equal(q.f, p.f + inst.epsilon * np.array([0.0, 0.0, 0.5, 0.0]))
+        np.testing.assert_array_equal(q.g, p.g - inst.epsilon * np.array([0.0, 0.5, 0.5, 0.0]))
 
 
 class TestComputePolytope:
@@ -147,6 +269,54 @@ class TestSampleShifts:
         b = sample_shifts(pd, 4, seed=42)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+class TestSampleShiftsAtScale:
+    def check_samples(self, inst, samples=6, seed=5):
+        p, cd, s, d, pd = analyze(inst)
+        shifts = sample_shifts(pd, samples, seed=seed)
+        assert len(shifts) == samples
+        finite = np.isfinite(pd.a)
+        for alpha in shifts:
+            assert alpha.shape == (d.count,)
+            assert alpha[0] == 0.0
+            excess = (alpha[:, None] - alpha[None, :] - pd.a)[finite]
+            assert np.max(excess) <= 1e-9
+            for i, j in pd.rigid_pairs:
+                assert abs(alpha[i] - alpha[j]) <= 1e-9
+            q = apply_shifts(p, d, alpha, inst.epsilon, pd)
+            assert verify_potentials(inst, q, cd)
+        for x, y in zip(shifts, sample_shifts(pd, samples, seed=seed)):
+            np.testing.assert_array_equal(x, y)
+        stacked = np.array(shifts)
+        free = [i for i in range(1, d.count) if pd.dist[i, 0] + pd.dist[0, i] > 1e-9]
+        assert free
+        assert all(np.ptp(stacked[:, i]) > 0 for i in free)
+        return pd, stacked
+
+    def test_block_instance(self):
+        pd, _ = self.check_samples(block_instance(np.random.default_rng(40), 40))
+        assert pd.n_components == 40 and pd.rigid_pairs == ()
+
+    def test_rigid_pairs(self):
+        pd, stacked = self.check_samples(grouped_rigid_instance())
+        assert pd.rigid_pairs
+        # the anchor's group is pinned at zero
+        np.testing.assert_allclose(stacked[:, 1:3], 0.0, atol=1e-9)
+
+    def test_half_unbounded_coordinates(self):
+        # alpha[2] >= alpha[1] + 5 with no upper bound and alpha[3] <=
+        # alpha[1] - 5 with no lower bound, none tied to the anchor; a fixed
+        # [-big, big] box (big = 11) for an unbounded side would leave no room
+        # for alpha[2] when alpha[1] > 6, nor for alpha[3] when alpha[1] < -6
+        a = np.full((4, 4), np.inf)
+        np.fill_diagonal(a, 0.0)
+        a[1, 2], a[3, 1], a[3, 2] = -5.0, -5.0, -10.0  # closed: a[3, 2] = a[3, 1] + a[1, 2]
+        pd = PolytopeDescription(n_components=4, a=a, dist=a, dimension=4, rigid_pairs=())
+        shifts = np.array(sample_shifts(pd, 200, seed=0))
+        assert np.all(shifts[:, 2] - shifts[:, 1] >= 5.0 - 1e-9)
+        assert np.all(shifts[:, 1] - shifts[:, 3] >= 5.0 - 1e-9)
+        assert shifts[:, 1].max() > 6.0 and shifts[:, 1].min() < -6.0
 
 
 class TestApplyShifts:
@@ -284,6 +454,52 @@ class TestSymmetricSlice:
         # recover the full symmetric family interval
         assert p.f[0] + lo == pytest.approx(1 - gamma / 2, abs=1e-8)
         assert p.f[0] + hi == pytest.approx(1 + gamma / 2, abs=1e-8)
+
+    def test_many_mirror_pairs_match_brute_force(self):
+        # swapped pairs: row 2t sends its mass to column 2t+1 and back, so
+        # each pair of rows gives two components that mirror each other
+        k = 10
+        rng = np.random.default_rng(3)
+        noise = rng.uniform(0.0, 1.0, (2 * k, 2 * k))
+        cost = 3.0 + 0.5 * (noise + noise.T)
+        for t in range(k):
+            cost[2 * t, 2 * t + 1] = cost[2 * t + 1, 2 * t] = rng.uniform(0.0, 1.0)
+        w = np.repeat(rng.uniform(0.8, 1.2, k), 2)
+        inst = validate_instance(w / w.sum(), w / w.sum(), cost, epsilon=1.0 / (2 * k))
+        p, cd, s, d, pd = analyze(inst, symmetric=True)
+        assert d.count == 2 * k
+        mirror = mirror_pairing(d)
+        brute = tuple(
+            next(
+                j
+                for j in range(d.count)
+                if set(d.row_projections[j]) == set(d.col_projections[i])
+                and set(d.col_projections[j]) == set(d.row_projections[i])
+            )
+            for i in range(d.count)
+        )
+        assert mirror == brute
+        assert mirror[:4] == (1, 0, 3, 2)
+        for i in range(d.count):
+            j = mirror[i]
+            lo, hi = -np.inf, np.inf
+            for a_ in range(d.count):
+                for b_ in range(d.count):
+                    coeff = float(a_ == i) - float(a_ == j) - float(b_ == i) + float(b_ == j)
+                    if a_ == b_ or not np.isfinite(pd.dist[a_, b_]) or coeff == 0:
+                        continue
+                    if coeff > 0:
+                        hi = min(hi, pd.dist[a_, b_] / coeff)
+                    else:
+                        lo = max(lo, pd.dist[a_, b_] / coeff)
+            assert symmetric_shift_interval(pd, mirror, (i, j)) == (lo, hi)
+            assert lo < 0.0 < hi
+
+    def test_asymmetric_support_rejected(self):
+        inst = block_instance(np.random.default_rng(8), 3, rows=2, cols=3)
+        _, _, _, d, _ = analyze(inst)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            mirror_pairing(d)
 
     def test_self_mirrored_component_is_pinned(self):
         inst = validate_instance([0.5, 0.5], [0.5, 0.5], np.zeros((2, 2)))
