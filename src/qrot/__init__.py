@@ -18,6 +18,7 @@ from .model import (
     dual_objective,
     duality_gap,
     marginal_residuals,
+    max_residual,
     primal_objective,
     shift_potentials,
     validate_instance,

@@ -12,8 +12,8 @@ potentials inconsistent with their support and a projection that does not
 converge end here too, and so do ``analyze`` reports whose stored potentials
 miss their marginals), 3 verification rejected. Every error prints one
 ``error: ...`` line, never a traceback. The environment variable
-``QROT_SEED`` overrides ``--seed``; a seed that is negative or not an
-integer, and a negative ``--samples``, exit 1.
+``QROT_SEED`` overrides ``--seed`` of ``solve`` and ``analyze``; a seed that
+is negative or not an integer, and a negative ``--samples``, exit 1.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .model import (
     Potentials,
     ValidationError,
     density_from_potentials,
-    marginal_residuals,
+    max_residual,
     with_epsilon,
 )
 from .polytope import compute_polytope, sample_shifts, verify_potentials
@@ -198,8 +198,7 @@ def cmd_analyze(args):
     cd = density_from_potentials(inst, p)
     if from_report:
         tol = doc.get("provenance", {}).get("tol_residual", SolverConfig().tol_residual)
-        row, col = marginal_residuals(inst, cd)
-        residual = max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
+        residual = max_residual(inst, cd.z)
         if not residual <= tol:
             sys.stderr.write(
                 f"error: stored potentials have marginal residual {residual:.3e},"
@@ -291,16 +290,17 @@ def _build_parser():
         sp.add_argument("--symmetric", action="store_true", help="force self-transport mode")
         if normalization:
             sp.add_argument("--normalization", choices=NORMALIZATIONS, default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("solve", help="solve and write a full report")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tau-rel", type=float, default=DEFAULT_TAU_REL, dest="tau_rel")
     sp.add_argument("--out", default=None, help="report path (default: stdout)")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("analyze", help="components and polytope of an instance or report")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tau-rel", type=float, default=DEFAULT_TAU_REL, dest="tau_rel")
     sp.add_argument("--samples", type=int, default=0, help="sample shift vectors from the polytope")
     sp.add_argument("--out", default=None)

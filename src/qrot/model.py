@@ -30,6 +30,7 @@ __all__ = [
     "coupling_from_z",
     "density_from_potentials",
     "marginal_residuals",
+    "max_residual",
     "primal_objective",
     "dual_objective",
     "duality_gap",
@@ -250,6 +251,13 @@ def marginal_residuals(inst, cd):
     return row, col
 
 
+def max_residual(inst, z):
+    """Worst absolute entry of :func:`marginal_residuals`, from the density matrix ``z``."""
+    row = z @ inst.nu_tilde - inst.mu_ratio
+    col = inst.mu_tilde @ z - inst.nu_ratio
+    return max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
+
+
 def primal_objective(inst, cd):
     """Transport cost plus the quadratic penalty, ``sum(c * pi) + eps/2 * ||z||^2``."""
     quad = np.sum(cd.z * cd.z * inst.ref_weights)
@@ -275,16 +283,11 @@ def duality_gap(inst, p, cd, iterations=0, converged=False):
     """
     primal = primal_objective(inst, cd)
     dual = dual_objective(inst, p)
-    row, col = marginal_residuals(inst, cd)
-    residual = max(
-        float(np.max(np.abs(row))) if row.size else 0.0,
-        float(np.max(np.abs(col))) if col.size else 0.0,
-    )
     return SolveReport(
         primal_value=primal,
         dual_value=dual,
         duality_gap=primal - dual,
-        marginal_residual=residual,
+        marginal_residual=max_residual(inst, cd.z),
         iterations=int(iterations),
         converged=bool(converged),
     )

@@ -21,7 +21,8 @@ Difference-constraint systems are canonical shortest-path objects: the
 min-plus closure of ``a`` gives the tightest bound on each difference, pairs
 whose two-way bounds sum to zero are forced equal, and the dimension of ``T``
 is the number of equivalence classes of that rigidity relation (always at
-least one: the global shift). Because the closure is tight, any feasible
+least one: the global shift), counted by :func:`components` on the mask of
+forced-equal pairs. Because the closure is tight, any feasible
 partial assignment extends, which lets :func:`sample_shifts` draw one
 coordinate at a time with no repair.
 """
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Potentials, ValidationError, density_from_potentials
+from .support import SupportSet, _label_runs, components
 
 __all__ = [
     "PolytopeDescription",
@@ -85,16 +87,6 @@ def _axis_labels(decomp):
     return decomp.labels.max(axis=1), decomp.labels.max(axis=0)
 
 
-def _label_runs(labels, count):
-    """Lines sorted by label (stable sort), and where each label's run starts.
-
-    Unmatched lines (label -1) sort first, before the first run, where
-    ``np.minimum.reduceat`` over these starts never looks.
-    """
-    order = np.argsort(labels, kind="stable")
-    return order, np.searchsorted(labels[order], np.arange(count))
-
-
 def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
     """Describe all potential pairs reachable from ``p`` by component shifts.
 
@@ -140,21 +132,9 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
     if np.any(np.diag(dist) < -tol):
         raise PotentialConsistencyError("potentials inconsistent with support: negative cycle")
 
-    rigid = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(dist + dist.T <= tol, 1)))
-    uf_parent = list(range(count))
-
-    def find(i):
-        while uf_parent[i] != i:
-            uf_parent[i] = uf_parent[uf_parent[i]]
-            i = uf_parent[i]
-        return i
-
-    dimension = count
-    for i, j in rigid:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            uf_parent[ri] = rj
-            dimension -= 1
+    rigid_mask = dist + dist.T <= tol  # the diagonal is True: no negative cycle
+    rigid = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(rigid_mask, 1)))
+    dimension = components(SupportSet(mask=rigid_mask, tau=0.0)).count
 
     a.setflags(write=False)
     dist.setflags(write=False)

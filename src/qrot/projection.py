@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import coupling_from_z, marginal_residuals
+from .model import coupling_from_z, marginal_residuals, max_residual
 
 __all__ = ["DykstraState", "ProjectionError", "project", "project_point"]
 
@@ -93,11 +93,8 @@ def project_point(inst, point, tol=1e-10, max_iter=1_000_000):
         state.correction = z - pre_clip
         state.z = z
         state.last_change = float(np.max(np.abs(z - previous)))
-        if state.last_change <= tol:
-            cd = coupling_from_z(inst, z)
-            row, col = marginal_residuals(inst, cd)
-            if max(np.max(np.abs(row)), np.max(np.abs(col))) <= 10.0 * tol:
-                return cd, state
+        if state.last_change <= tol and max_residual(inst, z) <= 10.0 * tol:
+            return coupling_from_z(inst, z), state
 
     cd = coupling_from_z(inst, state.z)
     residuals = marginal_residuals(inst, cd)

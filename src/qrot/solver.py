@@ -25,6 +25,7 @@ from .model import (
     ValidationError,
     density_from_potentials,
     duality_gap,
+    max_residual,
     shift_potentials,
 )
 
@@ -45,7 +46,6 @@ class SolverConfig:
     tol_residual: float = 1e-10
     max_sweeps: int = 100_000
     normalization: str = "anchor_first_component_zero"
-    check_monotone: bool = True
 
     def __post_init__(self):
         if not self.tol_residual > 0:
@@ -146,13 +146,6 @@ def _density(inst, p):
     return np.maximum(0.0, (p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon)
 
 
-def _residual(inst, z):
-    """Worst absolute row or column residual of the density matrix ``z``."""
-    row = z @ inst.nu_tilde - inst.mu_ratio
-    col = inst.mu_tilde @ z - inst.nu_ratio
-    return max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
-
-
 def _dual_value(inst, p, z):
     """:func:`dual_objective` at ``p`` from its density ``z``; the penalty takes two matvecs."""
     penalty = 0.5 * inst.epsilon * float(inst.mu_tilde @ ((z * z) @ inst.nu_tilde))
@@ -164,8 +157,8 @@ def solve(inst, cfg=None, init=None):
 
     Iterates :func:`sweep` until the worst marginal residual falls below
     ``cfg.tol_residual`` or ``cfg.max_sweeps`` is exhausted. Each sweep
-    builds the density once and takes the residual and, with
-    ``cfg.check_monotone``, the dual value from it. The configured
+    builds the density once and takes the residual and the dual value from
+    it; a dual value that decreases raises ``RuntimeError``. The configured
     normalization shift is applied once after the loop (shifts do not change
     the density). Non-convergence is reported through
     ``report.converged = False``, not raised.
@@ -184,22 +177,20 @@ def solve(inst, cfg=None, init=None):
     """
     cfg = cfg or SolverConfig()
     p = init if init is not None else Potentials(np.zeros(inst.n), np.zeros(inst.m))
-    if cfg.check_monotone:
-        dual_prev = _dual_value(inst, p, _density(inst, p))
+    dual_prev = _dual_value(inst, p, _density(inst, p))
 
     converged = False
     sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
         p = sweep(inst, p)
         z = _density(inst, p)
-        if cfg.check_monotone:
-            dual_now = _dual_value(inst, p, z)
-            if dual_now < dual_prev - 1e-12 * (1.0 + abs(dual_prev)):
-                raise RuntimeError(
-                    f"dual objective decreased across a sweep: {dual_prev} -> {dual_now}"
-                )
-            dual_prev = dual_now
-        if _residual(inst, z) <= cfg.tol_residual:
+        dual_now = _dual_value(inst, p, z)
+        if dual_now < dual_prev - 1e-12 * (1.0 + abs(dual_prev)):
+            raise RuntimeError(
+                f"dual objective decreased across a sweep: {dual_prev} -> {dual_now}"
+            )
+        dual_prev = dual_now
+        if max_residual(inst, z) <= cfg.tol_residual:
             converged = True
             break
 
@@ -241,7 +232,7 @@ def solve_symmetric(inst, cfg=None, init=None):
         sweeps += report.iterations
         f = 0.5 * (q.f + q.g)
         p = Potentials(f=f, g=f, symmetric=True)
-        converged = _residual(inst, _density(inst, p)) <= cfg.tol_residual
+        converged = max_residual(inst, _density(inst, p)) <= cfg.tol_residual
 
     report = duality_gap(
         inst, p, density_from_potentials(inst, p), iterations=sweeps, converged=converged

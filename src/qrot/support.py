@@ -3,8 +3,9 @@
 Two support cells are connected when a path of cells alternates between
 changing only the row and only the column coordinate; this is bipartite-graph
 connectivity, not topological connectivity. Components are computed by
-union-find over row and column nodes, with every support cell merging its row
-and column.
+array label propagation over the rows: every row's label falls to the
+smallest row reachable from it, and columns and cells take their rows'
+labels.
 """
 
 import warnings
@@ -54,39 +55,15 @@ def support_set(cd, tau=None):
     return SupportSet(mask=mask, tau=tau)
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-
-
 @dataclass(frozen=True)
 class ComponentDecomposition:
     """Labeled components of a support mask.
 
     ``labels[i, j]`` is -1 off support, otherwise the component id. Component
-    ids are assigned in order of the smallest row index they touch (ties
-    broken by smallest column index). Rows and columns that meet no support
-    cell are listed in ``unmatched_rows`` / ``unmatched_cols``; downstream
-    consumers exclude them rather than guess a component.
+    ids are assigned in order of the smallest row index they touch. Rows and
+    columns that meet no support cell are listed in ``unmatched_rows`` /
+    ``unmatched_cols``; downstream consumers exclude them rather than guess a
+    component.
     """
 
     labels: np.ndarray
@@ -97,47 +74,82 @@ class ComponentDecomposition:
     unmatched_cols: tuple = ()
 
 
+def _row_roots(mask):
+    """Smallest row index of each row's component in the bipartite graph ``mask``.
+
+    Min-label hooking with pointer jumping, after Shiloach and Vishkin (1982).
+    ``root`` starts as ``arange(n)`` and is always a forest of stars. Each
+    round every column takes the smallest root among its rows, every row the
+    smallest of those among its columns, and each tree root hooks onto the
+    smallest value any of its rows saw; pointer jumping then flattens the
+    forest back into stars. Hooking the tree root, not only the row, merges
+    whole trees at once, which keeps the round count small on long paths.
+
+    A label only ever decreases and always names a row of the same component
+    (it travelled there along an alternating path), so the loop ends. A row
+    never sees a label above its own, and at the fixed point it sees none
+    below it either, so all rows of a column share one label, and by
+    induction along paths so do all rows of a component. That label is a row
+    of the component and at most every row index in it, hence its smallest
+    row. Rows meeting no column keep their own index.
+    """
+    n = mask.shape[0]
+    root = np.arange(n)
+    while True:
+        col_min = np.where(mask, root[:, None], n).min(axis=0, initial=n)
+        row_min = np.where(mask, col_min, n).min(axis=1, initial=n)
+        hooked = root.copy()
+        np.minimum.at(hooked, root, row_min)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, root):
+            return root
+        root = hooked
+
+
+def _label_runs(labels, count):
+    """Lines sorted by label (stable sort), and where each label's run starts.
+
+    Unmatched lines (label -1) sort first, before the first run, where
+    ``np.minimum.reduceat`` over these starts never looks and which
+    ``np.split`` at them puts in its first piece.
+    """
+    order = np.argsort(labels, kind="stable")
+    return order, np.searchsorted(labels[order], np.arange(count))
+
+
+def _projections(labels, count):
+    """Lines of each label ``0 .. count - 1``, ascending, as tuples of ints."""
+    order, starts = _label_runs(labels, count)
+    return tuple(tuple(run.tolist()) for run in np.split(order, starts)[1:])
+
+
 def components(s):
     """Decompose a support mask into connected components.
 
-    Union-find over ``n`` row nodes and ``m`` column nodes; each support cell
-    unions its row with its column, so two cells share a component exactly
-    when an alternating row/column path joins them.
+    Every row takes the smallest row of its component (:func:`_row_roots`);
+    the component ids are the ranks of those roots among the matched rows,
+    so ids follow each component's smallest row. A support cell carries its
+    row's id, and a column the id of any row it meets.
     """
-    n, m = s.mask.shape
-    uf = _UnionFind(n + m)
-    cells = np.argwhere(s.mask)
-    for i, j in cells:
-        uf.union(int(i), n + int(j))
-
-    groups = {}
-    for i, j in cells:
-        groups.setdefault(uf.find(int(i)), []).append((int(i), int(j)))
-
-    ordered = sorted(
-        groups.values(), key=lambda cc: (min(i for i, _ in cc), min(j for _, j in cc))
-    )
-    labels = np.full((n, m), -1, dtype=int)
-    row_projections = []
-    col_projections = []
-    for cid, cc in enumerate(ordered):
-        rows = sorted({i for i, _ in cc})
-        cols = sorted({j for _, j in cc})
-        row_projections.append(tuple(rows))
-        col_projections.append(tuple(cols))
-        for i, j in cc:
-            labels[i, j] = cid
-
-    matched_rows = {i for cc in ordered for i, _ in cc}
-    matched_cols = {j for cc in ordered for _, j in cc}
+    mask = s.mask
+    n = mask.shape[0]
+    root = _row_roots(mask)
+    matched_rows = mask.any(axis=1)
+    is_root = matched_rows & (root == np.arange(n))
+    row_label = np.where(matched_rows, np.cumsum(is_root)[root] - 1, -1)
+    labels = np.where(mask, row_label[:, None], -1)
+    col_label = labels.max(axis=0, initial=-1)
+    count = int(np.count_nonzero(is_root))
     labels.setflags(write=False)
     return ComponentDecomposition(
         labels=labels,
-        row_projections=tuple(row_projections),
-        col_projections=tuple(col_projections),
-        count=len(ordered),
-        unmatched_rows=tuple(i for i in range(n) if i not in matched_rows),
-        unmatched_cols=tuple(j for j in range(m) if j not in matched_cols),
+        row_projections=_projections(row_label, count),
+        col_projections=_projections(col_label, count),
+        count=count,
+        unmatched_rows=tuple(np.flatnonzero(~matched_rows).tolist()),
+        unmatched_cols=tuple(np.flatnonzero(col_label < 0).tolist()),
     )
 
 

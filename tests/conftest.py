@@ -164,6 +164,49 @@ def bisect_root(thresholds, weights, target, iters=200):
     return 0.5 * (lo + hi)
 
 
+def bfs_components(mask):
+    """Fields of the component decomposition of ``mask``, by breadth-first search.
+
+    Rows are scanned in increasing order and each unvisited row that meets
+    the support starts a new component, so ids follow each component's
+    smallest row. Returns a dict keyed by the ``ComponentDecomposition``
+    field names.
+    """
+    n, m = mask.shape
+    row_id = [-1] * n
+    col_id = [-1] * m
+    row_projections, col_projections = [], []
+    for start in range(n):
+        if row_id[start] >= 0 or not mask[start].any():
+            continue
+        cid = len(row_projections)
+        row_id[start] = cid
+        rows, cols, frontier = [start], [], [start]
+        while frontier:
+            reached = []
+            for i in frontier:
+                for j in np.flatnonzero(mask[i]).tolist():
+                    if col_id[j] < 0:
+                        col_id[j] = cid
+                        cols.append(j)
+                        for k in np.flatnonzero(mask[:, j]).tolist():
+                            if row_id[k] < 0:
+                                row_id[k] = cid
+                                rows.append(k)
+                                reached.append(k)
+            frontier = reached
+        row_projections.append(tuple(sorted(rows)))
+        col_projections.append(tuple(sorted(cols)))
+    return {
+        "labels": np.where(mask, np.array(row_id)[:, None], -1),
+        "row_projections": tuple(row_projections),
+        "col_projections": tuple(col_projections),
+        "count": len(row_projections),
+        "unmatched_rows": tuple(i for i in range(n) if row_id[i] < 0),
+        "unmatched_cols": tuple(j for j in range(m) if col_id[j] < 0),
+    }
+
+
 def brute_components(mask):
     """Transitive closure of the alternating-path relation on support cells."""
     groups = [{(int(i), int(j))} for i, j in np.argwhere(mask)]

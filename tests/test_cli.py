@@ -332,6 +332,20 @@ class TestSweepCommand:
         assert rc == 1
         assert "quadratic_1d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "verify", "oracle"])
+    def test_seed_unrecognized(self, tmp_path, capsys, command):
+        # only solve and analyze draw random numbers, so only they take --seed
+        path = write_json(tmp_path / "grid.json", quadratic_doc(8))
+        extra = {
+            "sweep": ["--eps-list", "1,0.1", "--delta", "0.2", "--out", str(tmp_path / "x.csv")],
+            "verify": ["--potentials", str(tmp_path / "pair.json")],
+            "oracle": [],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *extra, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_family_member_accepted(self, tmp_path, capsys):

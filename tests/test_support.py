@@ -3,6 +3,8 @@ import pytest
 
 from qrot import (
     ComponentDecomposition,
+    Grid1D,
+    SupportSet,
     components,
     coupling_from_z,
     density_from_potentials,
@@ -12,6 +14,7 @@ from qrot import (
     validate_instance,
 )
 from conftest import (
+    bfs_components,
     brute_components,
     random_instance,
     two_point_offdiag,
@@ -156,6 +159,68 @@ class TestComponents:
         d1 = components(SupportSet(mask=mask, tau=0.0))
         d2 = components(SupportSet(mask=d1.labels >= 0, tau=0.0))
         np.testing.assert_array_equal(d1.labels, d2.labels)
+
+
+def assert_matches_bfs(mask):
+    d = components(SupportSet(mask=mask, tau=0.0))
+    want = bfs_components(mask)
+    np.testing.assert_array_equal(d.labels, want.pop("labels"))
+    for field, value in want.items():
+        assert getattr(d, field) == value, field
+    return d
+
+
+def staircase(n):
+    """The path (0, 0), (0, 1), (1, 1), (1, 2), ... through an n x n mask."""
+    mask = np.eye(n, dtype=bool)
+    mask[np.arange(n - 1), np.arange(1, n)] = True
+    return mask
+
+
+class TestComponentsAtScale:
+    """Exact agreement with a breadth-first search on masks far larger than
+    the brute-force closure can handle."""
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_permuted_paths(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            mask = staircase(n)[rng.permutation(n)][:, rng.permutation(n)]
+            assert assert_matches_bfs(mask).count == 1
+        # the same path cut into pieces at random cells
+        mask = staircase(n)
+        cuts = rng.choice(n - 1, size=n // 10, replace=False)
+        mask[cuts, cuts + 1] = False
+        mask = mask[rng.permutation(n)][:, rng.permutation(n)]
+        assert assert_matches_bfs(mask).count == n // 10 + 1
+
+    @pytest.mark.parametrize("degree", [1, 2, 4])
+    def test_near_percolation(self, degree):
+        rng = np.random.default_rng(degree)
+        n, m = 200, 170
+        for _ in range(3):
+            assert_matches_bfs(rng.random((n, m)) < degree / n)
+
+    def test_unmatched_rows_and_columns(self):
+        rng = np.random.default_rng(11)
+        for n, m in [(120, 90), (90, 120)]:
+            mask = rng.random((n, m)) < 3.0 / max(n, m)
+            mask[rng.random(n) < 0.3] = False
+            mask[:, rng.random(m) < 0.3] = False
+            d = assert_matches_bfs(mask)
+            assert d.unmatched_rows and d.unmatched_cols
+        for n, m in [(1, 50), (50, 1)]:
+            assert_matches_bfs(rng.random((n, m)) < 0.5)
+        d = assert_matches_bfs(np.zeros((4, 3), dtype=bool))
+        assert d.count == 0 and d.unmatched_rows == (0, 1, 2, 3)
+
+    def test_solved_1d_support(self):
+        inst = Grid1D.uniform(200).instance(0.01)
+        p, report = solve(inst)
+        assert report.converged
+        mask = support_set(density_from_potentials(inst, p)).mask
+        assert mask.sum() > 2 * inst.n
+        assert assert_matches_bfs(mask).count == 1
 
 
 class TestPartitionCheck:
