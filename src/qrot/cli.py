@@ -58,6 +58,25 @@ def _seed(args):
     return seed
 
 
+def _check_nonnegative(value, flag):
+    """Raise a ValidationError naming ``flag`` unless ``value`` is finite and nonnegative."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValidationError(f"{flag} must be finite and nonnegative, got {value!r}")
+
+
+def _eps_list(text):
+    eps_list = []
+    for tok in text.split(","):
+        if tok.strip():
+            try:
+                eps_list.append(float(tok))
+            except ValueError:
+                raise ValidationError(f"--eps-list entry {tok.strip()!r} is not a number") from None
+    if not eps_list:
+        raise ValidationError("--eps-list names no epsilon")
+    return eps_list
+
+
 def _config(args):
     kwargs = {}
     if args.tol is not None:
@@ -160,6 +179,7 @@ def _emit(text, out_path):
 
 def cmd_solve(args):
     seed = _seed(args)
+    _check_nonnegative(args.tau_rel, "--tau-rel")
     loaded, inst, symmetric = _load(args)
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
@@ -170,6 +190,7 @@ def cmd_solve(args):
 
 def cmd_analyze(args):
     seed = _seed(args)
+    _check_nonnegative(args.tau_rel, "--tau-rel")
     if args.samples < 0:
         raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
     with open(args.input) as fh:
@@ -226,7 +247,8 @@ def cmd_sweep(args):
     if loaded.x is None or loaded.y is None:
         raise ValidationError("sweep requires an instance with a quadratic_1d generator")
     grid = Grid1D(xs=loaded.x, mu=inst.mu, ys=loaded.y, nu=inst.nu)
-    eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
+    eps_list = _eps_list(args.eps_list)
+    _check_nonnegative(args.delta, "--delta")
     if args.out is None:
         raise ValidationError("sweep requires --out for the CSV path")
     result = epsilon_sweep(grid, eps_list, args.delta, _config(args))
@@ -286,7 +308,13 @@ def _build_parser():
         sp.add_argument("input", help="instance JSON file")
         sp.add_argument("--eps", type=float, default=None, help="override epsilon")
         sp.add_argument("--tol", type=float, default=None, help="marginal residual tolerance")
-        sp.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
+        sp.add_argument(
+            "--max-sweeps",
+            type=int,
+            default=None,
+            dest="max_sweeps",
+            help="iteration budget; each sweep and each Newton step counts as one",
+        )
         sp.add_argument("--symmetric", action="store_true", help="force self-transport mode")
         if normalization:
             sp.add_argument("--normalization", choices=NORMALIZATIONS, default=None)

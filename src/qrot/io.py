@@ -9,7 +9,6 @@ fixed indentation), so identical inputs produce byte-identical reports.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,18 +126,23 @@ def load_instance(path):
 
 
 def encode_extended(matrix):
-    """Matrix to nested lists with infinities encoded as the string "inf"."""
-    out = []
-    for row in np.asarray(matrix, dtype=float):
-        out.append(["inf" if math.isinf(v) else float(v) for v in row])
+    """Matrix to nested lists with infinities (of either sign) encoded as the string "inf"."""
+    arr = np.asarray(matrix, dtype=float)
+    out = arr.tolist()
+    for i, j in np.argwhere(np.isinf(arr)).tolist():
+        out[i][j] = "inf"
     return out
 
 
 def decode_extended(rows):
-    """Inverse of :func:`encode_extended`."""
-    return np.array(
-        [[math.inf if v == "inf" else float(v) for v in row] for row in rows], dtype=float
-    )
+    """Inverse of :func:`encode_extended`; entries must be numbers or the string "inf"."""
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid extended matrix: {exc}") from None
+    if np.isnan(arr).any():
+        raise ValidationError("invalid extended matrix: entry is not a number")
+    return arr
 
 
 def canonical_json(obj):

@@ -295,6 +295,8 @@ def duality_gap(inst, p, cd, iterations=0, converged=False):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Objective values and residual of a solve; ``iterations`` counts sweeps plus Newton steps."""
+
     primal_value: float
     dual_value: float
     duality_gap: float

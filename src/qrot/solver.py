@@ -1,15 +1,27 @@
-"""Exact cyclic coordinate ascent on the dual problem.
+"""Dual solver: semismooth Newton steps on the support, exact cyclic sweeps as fallback.
 
-Each coordinate update solves its marginal equation exactly: with the other
-potential held fixed, the map ``t -> sum_j w[j] * (t - theta[j])_+`` is
-piecewise linear, continuous, nondecreasing and strictly increasing where
+The dual is concave and piecewise quadratic: its pieces are the support
+patterns ``z > 0`` of the density. On one piece its negative generalized
+Hessian is ``1/eps`` times the weighted Laplacian of the support, a
+bipartite graph on rows and columns, and the Laplacian's null space is
+spanned by the shifts of the support's components: exactly the multiplicity
+of potentials that :mod:`qrot.polytope` describes. :func:`solve` takes
+damped Newton steps on that Laplacian with an Armijo line search
+(semismooth Newton as in Lorenz, Manns and Meyer, "Quadratically regularized
+optimal transport", Appl. Math. Optim. 83, 2021). Once the support pattern
+is found, one step lands on the optimum up to round-off.
+
+Where no Newton step is taken, the solver runs one exact cyclic sweep. Each
+coordinate update of a sweep solves its marginal equation exactly: with the
+other potential held fixed, the map ``t -> sum_j w[j] * (t - theta[j])_+``
+is piecewise linear, continuous, nondecreasing and strictly increasing where
 positive, so for a positive target the root is unique. It is found by a
 finite active-set iteration (as in Michelot's and Condat's simplex
 projections): solve the linear equation over the current set of active
-breakpoints, drop the breakpoints above that solution, and repeat until
-the set stops changing. The set only shrinks, so at most ``m`` passes run, and
-the last solution is the exact root: no tolerance, no Newton step. Only the
-outer sweep loop is iterative.
+breakpoints, drop the breakpoints above that solution, and repeat until the
+set stops changing. The set only shrinks, so at most ``m`` passes run, and
+the last solution is the exact root, with no tolerance. Both kinds of step
+never lower the dual value.
 
 The self-transport mode runs the same solver: its dual is concave and
 invariant under ``(f, g) -> (g, f)``, so the average ``(f + g) / 2`` of an
@@ -28,6 +40,7 @@ from .model import (
     max_residual,
     shift_potentials,
 )
+from .support import _row_roots
 
 __all__ = [
     "SolverConfig",
@@ -40,9 +53,19 @@ __all__ = [
 
 NORMALIZATIONS = ("anchor_first_component_zero", "mean_zero_f", "none")
 
+ARMIJO = 1e-4  # fraction of the predicted dual increase a Newton step must reach
+IMBALANCE_TOL = 1e-13  # component mass imbalance below which it is round-off (total mass is 1)
+MAX_BACKTRACKS = 60  # step halvings before a Newton step gives way to a sweep
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule of :func:`solve`.
+
+    ``max_sweeps`` is the iteration budget; each sweep and each Newton step
+    counts as one iteration.
+    """
+
     tol_residual: float = 1e-10
     max_sweeps: int = 100_000
     normalization: str = "anchor_first_component_zero"
@@ -152,16 +175,96 @@ def _dual_value(inst, p, z):
     return float(p.f @ inst.mu + p.g @ inst.nu - penalty)
 
 
-def solve(inst, cfg=None, init=None):
-    """Solve the dual by exact cyclic coordinate ascent.
+def _newton_step(inst, p, z):
+    """One damped semismooth Newton ascent step from ``p``, or ``None`` if none is taken.
 
-    Iterates :func:`sweep` until the worst marginal residual falls below
-    ``cfg.tol_residual`` or ``cfg.max_sweeps`` is exhausted. Each sweep
-    builds the density once and takes the residual and the dual value from
-    it; a dual value that decreases raises ``RuntimeError``. The configured
-    normalization shift is applied once after the loop (shifts do not change
-    the density). Non-convergence is reported through
-    ``report.converged = False``, not raised.
+    The dual's gradient is ``(-mu_tilde * row_residual, -nu_tilde *
+    col_residual)``, and ``-1/eps`` times the weighted Laplacian ``L =
+    [[diag W 1, W], [W^T, diag W^T 1]]`` of the support, ``W = (mu_tilde x
+    nu_tilde) * 1[z > 0]``, is a generalized Hessian. The null space of ``L``
+    is spanned by the component shifts (``+1`` on a component's rows, ``-1``
+    on its columns), and the gradient's part along the shift of component
+    ``C`` is the mass imbalance ``mu(C) - nu(C)``. A real imbalance is kept:
+    it pushes the components apart until the support changes. An imbalance
+    within ``IMBALANCE_TOL`` is round-off and is projected out, since
+    amplified by the damping it would only move the components at random.
+
+    The step solves ``(L + lam I) d = eps * grad``, where ``lam = 1e-12 *
+    max(diag L)`` fills the shift null space. Eliminating ``g`` through the
+    diagonal column block leaves one dense ``n x n`` system. An Armijo
+    backtracking search then picks the step length ``t``. Its test, dual
+    gain at least ``ARMIJO * t * slope``, is evaluated as ``t * (1 - ARMIJO)
+    * slope >= curvature``: with ``u = (f + g - c) / eps``, ``u' = u + delta``
+    the same at the trial point and ``h(u, delta) = u'_+^2 - u_+^2 - 2 u_+
+    delta >= 0``, the gain is exactly ``t * slope - eps / 2 * sum(w h)``. Each
+    case of ``h`` is a sum of terms of one sign, so the test holds its
+    precision when the gain falls below the dual value's round-off, as it
+    does on the last steps.
+
+    Returns ``None`` when a row or a column of the support is empty or no
+    step length passes, and the caller sweeps instead. Returns ``(q,
+    density of q, dual value at q)`` otherwise.
+    """
+    on = z > 0
+    w = np.outer(inst.mu_tilde, inst.nu_tilde) * on
+    row_deg, col_deg = w.sum(axis=1), w.sum(axis=0)
+    if not (row_deg.all() and col_deg.all()):
+        return None
+    grad_f = inst.mu - inst.mu_tilde * (z @ inst.nu_tilde)
+    grad_g = inst.nu - inst.nu_tilde * (inst.mu_tilde @ z)
+    row_label = _row_roots(on)
+    col_label = row_label[on.argmax(axis=0)]
+    imbalance = np.bincount(row_label, grad_f, inst.n) - np.bincount(col_label, grad_g, inst.n)
+    lines = np.bincount(row_label, minlength=inst.n) + np.bincount(col_label, minlength=inst.n)
+    drift = np.where(np.abs(imbalance) <= IMBALANCE_TOL, imbalance / np.maximum(lines, 1), 0.0)
+
+    lam = 1e-12 * max(row_deg.max(), col_deg.max())
+    w_scaled = w / (col_deg + lam)
+    schur = -(w_scaled @ w.T)
+    schur.flat[:: inst.n + 1] += row_deg + lam
+    rhs_f = inst.epsilon * (grad_f - drift[row_label])
+    rhs_g = inst.epsilon * (grad_g + drift[col_label])
+    df = np.linalg.solve(schur, rhs_f - w_scaled @ rhs_g)
+    dg = (rhs_g - w.T @ df) / (col_deg + lam)
+    slope = float(grad_f @ df + grad_g @ dg)
+
+    u = (p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon
+    t = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        q = Potentials(f=p.f + t * df, g=p.g + t * dg)
+        u_q = (q.f[:, None] + q.g[None, :] - inst.cost) / inst.epsilon
+        delta = (t / inst.epsilon) * (df[:, None] + dg[None, :])
+        h = np.where(
+            u_q > 0,
+            np.where(on, delta * delta, u_q * u_q),
+            np.where(on, -u * (u + 2.0 * delta), 0.0),
+        )
+        curvature = 0.5 * inst.epsilon * float(inst.mu_tilde @ h @ inst.nu_tilde)
+        if t * (1.0 - ARMIJO) * slope >= curvature:
+            z_q = np.maximum(0.0, u_q)
+            return q, z_q, _dual_value(inst, q, z_q)
+        t *= 0.5
+    return None
+
+
+def solve(inst, cfg=None, init=None):
+    """Solve the dual by semismooth Newton steps, with exact cyclic sweeps as fallback.
+
+    Each iteration takes a :func:`_newton_step`, or one :func:`sweep` where
+    no Newton step is taken (a line of the support is empty, as at zero
+    potentials with a positive cost, or the line search fails); each sweep
+    and each Newton step counts as one iteration, against
+    ``cfg.max_sweeps``. The loop stops at the first iterate within
+    ``cfg.tol_residual`` whose predecessor was within it too. The first
+    Newton step to reach the tolerance may be a long one, whose round-off
+    scales with its length and can leave density of order 1e-9 on cells of
+    zero optimal density; the short step that follows is exact to machine
+    precision. Every iteration takes the residual and the dual value from
+    the density of its new iterate; a dual value that decreases raises
+    ``RuntimeError``. The configured normalization shift is applied once
+    after the loop (shifts do not change the density). Non-convergence is
+    reported through ``report.converged = False``, not raised: it says
+    whether the last iterate is within the tolerance.
 
     Parameters
     ----------
@@ -177,26 +280,31 @@ def solve(inst, cfg=None, init=None):
     """
     cfg = cfg or SolverConfig()
     p = init if init is not None else Potentials(np.zeros(inst.n), np.zeros(inst.m))
-    dual_prev = _dual_value(inst, p, _density(inst, p))
+    z = _density(inst, p)
+    dual_prev = _dual_value(inst, p, z)
+    converged = max_residual(inst, z) <= cfg.tol_residual
 
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, cfg.max_sweeps + 1):
-        p = sweep(inst, p)
-        z = _density(inst, p)
-        dual_now = _dual_value(inst, p, z)
+    iterations = 0
+    for iterations in range(1, cfg.max_sweeps + 1):
+        step = _newton_step(inst, p, z)
+        if step is None:
+            p = sweep(inst, p)
+            z = _density(inst, p)
+            dual_now = _dual_value(inst, p, z)
+        else:
+            p, z, dual_now = step
         if dual_now < dual_prev - 1e-12 * (1.0 + abs(dual_prev)):
             raise RuntimeError(
-                f"dual objective decreased across a sweep: {dual_prev} -> {dual_now}"
+                f"dual objective decreased across an iteration: {dual_prev} -> {dual_now}"
             )
         dual_prev = dual_now
-        if max_residual(inst, z) <= cfg.tol_residual:
-            converged = True
+        within_before, converged = converged, max_residual(inst, z) <= cfg.tol_residual
+        if converged and within_before:
             break
 
     p = _normalize(p, cfg.normalization)
     report = duality_gap(
-        inst, p, density_from_potentials(inst, p), iterations=sweeps, converged=converged
+        inst, p, density_from_potentials(inst, p), iterations=iterations, converged=converged
     )
     return p, report
 
@@ -219,8 +327,8 @@ def solve_symmetric(inst, cfg=None, init=None):
     cost. Runs :func:`solve` and averages its pair to ``(f + g) / 2``, which
     is optimal because the dual is concave and symmetric; the normalization
     shift cancels in the average. If the average misses ``cfg.tol_residual``,
-    :func:`solve` runs again from it on the rest of the sweep budget. The
-    report counts the sweeps of all rounds.
+    :func:`solve` runs again from it on the rest of the iteration budget.
+    The report counts the sweeps and Newton steps of all rounds.
     """
     _check_self_transport(inst)
     cfg = cfg or SolverConfig()

@@ -163,17 +163,31 @@ def epsilon_sweep(grid, epsilons, delta, cfg=None):
 
 
 def _neighborhood_mask(xs, ys, base_mask, delta):
-    """Cells within Euclidean distance delta of some base-support cell, in (x, y) coordinates."""
+    """Cells within Euclidean distance delta of some base-support cell, in (x, y) coordinates.
+
+    Cell ``(i, j)`` is near base cell ``k`` when ``dx[i, k]**2 + dy[j, k]**2 <=
+    delta**2 + 1e-15``. The mask is the OR of one such test per base cell,
+    each on the rows with ``dx**2`` and the columns with ``dy**2`` within the
+    bound: a squared term alone never exceeds the rounded sum, so no near cell
+    lies outside that block, and the memory stays ``O(n m)``.
+    """
     bi, bj = np.nonzero(base_mask)
-    dx = xs[:, None] - xs[bi][None, :]
-    dy = ys[:, None] - ys[bj][None, :]
-    # squared distance from cell (i, j) to base cell k: dx[i, k]^2 + dy[j, k]^2
-    d2 = dx[:, None, :] ** 2 + dy[None, :, :] ** 2
-    return np.any(d2 <= delta**2 + 1e-15, axis=2)
+    bound = delta**2 + 1e-15
+    dx2 = (xs[:, None] - xs[bi][None, :]) ** 2
+    dy2 = (ys[:, None] - ys[bj][None, :]) ** 2
+    near = np.zeros((xs.size, ys.size), dtype=bool)
+    for k in range(bi.size):
+        rows = np.flatnonzero(dx2[:, k] <= bound)
+        cols = np.flatnonzero(dy2[:, k] <= bound)
+        near[np.ix_(rows, cols)] |= dx2[rows, k][:, None] + dy2[cols, k][None, :] <= bound
+    return near
 
 
 def sweep_to_csv(result, path):
-    """One CSV row per epsilon, for external plotting."""
+    """One CSV row per epsilon, for external plotting.
+
+    The ``iterations`` column counts the solver's sweeps plus Newton steps.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

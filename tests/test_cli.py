@@ -18,7 +18,7 @@ from qrot.io import (
 )
 from qrot import PotentialConsistencyError, Potentials, ValidationError
 from qrot.projection import project
-from conftest import random_symmetric_instance
+from conftest import block_instance, random_symmetric_instance
 
 
 def write_json(path, doc):
@@ -94,6 +94,25 @@ class TestInstanceFormat:
         encoded = encode_extended(a)
         assert encoded[0][1] == "inf"
         np.testing.assert_array_equal(decode_extended(encoded), a)
+
+    def test_extended_matrix_encoding_matches_entrywise_loop(self):
+        rng = np.random.default_rng(2)
+        assert encode_extended(np.zeros((0, 0))) == []
+        for shape in ((1, 1), (5, 5), (3, 40), (40, 40)):
+            a = rng.normal(size=shape)
+            a[rng.random(shape) < 0.2] = math.inf
+            a[rng.random(shape) < 0.05] = -math.inf
+            loop = [["inf" if math.isinf(v) else float(v) for v in row] for row in a]
+            encoded = encode_extended(a)
+            assert encoded == loop
+            assert all(type(v) in (float, str) for row in encoded for v in row)
+            # any infinity is written as "inf", so decoding gives +inf
+            np.testing.assert_array_equal(decode_extended(encoded), np.where(np.isinf(a), math.inf, a))
+
+    @pytest.mark.parametrize("entry", [None, "abc", "nan"])
+    def test_extended_matrix_rejects_non_numbers(self, entry):
+        with pytest.raises(ValidationError, match="invalid extended matrix"):
+            decode_extended([[0.0, entry], [1.0, 0.0]])
 
 
 class TestSolveCommand:
@@ -172,6 +191,13 @@ class TestSolveCommand:
         assert main(["solve", path, "--seed", "5", "--out", str(out_a)]) == 0
         assert main(["solve", path, "--seed", "5", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_determinism_byte_identical_after_newton_steps(self, tmp_path):
+        path = write_json(tmp_path / "inst.json", quadratic_doc(40))
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["solve", path, "--eps", "0.01", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_report_roundtrip_lossless(self, tmp_path):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
@@ -345,6 +371,69 @@ class TestSweepCommand:
             main([command, path, *extra, "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps-list", "1,abc"], "error: --eps-list entry 'abc' is not a number"),
+            (["--eps-list", ","], "error: --eps-list names no epsilon"),
+            (["--delta", "nan"], "error: --delta must be finite and nonnegative, got nan"),
+            (["--delta", "inf"], "error: --delta must be finite and nonnegative, got inf"),
+            (["--delta", "-0.1"], "error: --delta must be finite and nonnegative, got -0.1"),
+        ],
+    )
+    def test_bad_numeric_flag_exit_one(self, tmp_path, capsys, monkeypatch, flags, message):
+        path = write_json(tmp_path / "grid.json", quadratic_doc(8))
+        calls = []
+        monkeypatch.setattr(qrot.cli, "epsilon_sweep", lambda *args: calls.append(args))
+        argv = {"--eps-list": "1,0.1", "--delta": "0.2", "--out": str(tmp_path / "x.csv")}
+        argv.update(zip(flags[::2], flags[1::2]))
+        rc = main(["sweep", path, *(tok for item in argv.items() for tok in item)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == message + "\n"
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_tau_rel_exit_one_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        calls = []
+        monkeypatch.setattr(qrot.cli, "solve", lambda *args: calls.append(args))
+        rc = main([command, path, "--tau-rel", value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --tau-rel must be finite and nonnegative, got {float(value)!r}\n"
+        )
+        assert calls == []
+
+    def test_zero_tau_rel_accepted(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        # the zero densities sit on a zero threshold, which support_set flags
+        with pytest.warns(UserWarning, match="support threshold"):
+            assert main(["solve", path, "--tau-rel", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["support"]["tau"] == 0.0
+
+
+class TestBlockReportRoundTrip:
+    def test_wide_weight_block_instance_solves_and_analyzes(self, tmp_path, capsys):
+        # +-50% weights at eps = 1/n: with sweeps alone the solve left density
+        # just below the support threshold on between-block cells, and
+        # `qrot solve` exited 2 on their negative slack, writing no report
+        inst = block_instance(np.random.default_rng(0), 80, spread=0.5)
+        path = write_json(tmp_path / "inst.json", instance_to_dict(inst))
+        report_path = tmp_path / "report.json"
+        assert main(["solve", path, "--out", str(report_path)]) == 0
+        assert main(["analyze", str(report_path), "--samples", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["polytope"]["dimension"] == doc["components"]["count"] == 80
 
 
 class TestVerifyCommand:

@@ -18,7 +18,17 @@ from qrot import (
     validate_instance,
     zero_cost_closed_form,
 )
+from qrot.sparsity import _neighborhood_mask
 from conftest import zero_cost_skewed
+
+
+def broadcast_neighborhood_mask(xs, ys, base_mask, delta):
+    """The n x m x K broadcast form of the neighborhood test."""
+    bi, bj = np.nonzero(base_mask)
+    dx = xs[:, None] - xs[bi][None, :]
+    dy = ys[:, None] - ys[bj][None, :]
+    d2 = dx[:, None, :] ** 2 + dy[None, :, :] ** 2
+    return np.any(d2 <= delta**2 + 1e-15, axis=2)
 
 
 class TestMonotoneCoupling:
@@ -110,6 +120,42 @@ class TestEpsilonSweep:
         assert len(res.reports) == 2
         assert not all(r.converged for r in res.reports)
         assert all(np.isfinite(p.f).all() for p in res.potentials_trace)
+
+
+class TestNeighborhoodMask:
+    def test_matches_broadcast_on_random_points(self):
+        rng = np.random.default_rng(0)
+        for n, m in ((1, 1), (7, 3), (30, 45), (60, 80)):
+            xs = np.sort(rng.uniform(0.0, 1.0, n))
+            ys = np.sort(rng.uniform(0.0, 1.0, m))
+            for base in (
+                monotone_coupling_1d(xs, np.ones(n) / n, ys, np.ones(m) / m).pi > 0,
+                rng.random((n, m)) < 0.1,
+                np.zeros((n, m), dtype=bool),
+            ):
+                for delta in (0.0, 0.03, 0.1, 2.0):
+                    expected = broadcast_neighborhood_mask(xs, ys, base, delta)
+                    np.testing.assert_array_equal(_neighborhood_mask(xs, ys, base, delta), expected)
+
+    def test_matches_broadcast_at_exact_distance(self):
+        # points on multiples of 1/8 put many cells at distance exactly delta,
+        # e.g. (3/8, 4/8) from a base cell for delta = 5/8 (squares exact in binary)
+        rng = np.random.default_rng(1)
+        boundary_cells = 0
+        for _ in range(20):
+            xs = rng.integers(0, 9, 12) / 8.0
+            ys = rng.integers(0, 9, 10) / 8.0
+            base = rng.random((12, 10)) < 0.15
+            bi, bj = np.nonzero(base)
+            d2 = (xs[:, None, None] - xs[bi]) ** 2 + (ys[None, :, None] - ys[bj]) ** 2
+            for delta in (0.125, 0.5, 0.625):
+                got = _neighborhood_mask(xs, ys, base, delta)
+                np.testing.assert_array_equal(got, broadcast_neighborhood_mask(xs, ys, base, delta))
+                if bi.size:
+                    boundary = d2.min(axis=2) == delta**2
+                    assert got[boundary].all()
+                    boundary_cells += int(boundary.sum())
+        assert boundary_cells > 0
 
 
 class TestZeroCostClosedForm:
