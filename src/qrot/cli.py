@@ -25,7 +25,6 @@ import numpy as np
 
 from . import io as qio
 from .model import (
-    Potentials,
     ValidationError,
     density_from_potentials,
     max_residual,
@@ -115,7 +114,7 @@ def _analysis_blocks(inst, p, cd, tau_rel):
     s = support_set(cd, tau=tau_rel * float(cd.z.max()) if cd.z.size else 0.0)
     decomp = components(s)
     pd = compute_polytope(inst, p, decomp, s)
-    support_block = {"mask": s.mask.astype(int).tolist(), "tau": s.tau}
+    support_block = {"tau": s.tau}
     components_block = {
         "labels": decomp.labels.tolist(),
         "row_projections": [list(t) for t in decomp.row_projections],
@@ -134,14 +133,14 @@ def _analysis_blocks(inst, p, cd, tau_rel):
     return support_block, components_block, polytope_block, decomp, pd
 
 
-def _report_dict(inst, symmetric, p, report, cfg, tau_rel, seed):
+def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel, seed):
     cd = density_from_potentials(inst, p)
     support_block, components_block, polytope_block, _, _ = _analysis_blocks(
         inst, p, cd, tau_rel
     )
     return {
-        "schema_version": qio.SCHEMA_VERSION,
-        "instance": qio.instance_to_dict(inst, symmetric=symmetric),
+        "schema_version": qio.REPORT_SCHEMA_VERSION,
+        "instance": qio.instance_to_dict(inst, symmetric=symmetric, generator=generator),
         "report": {
             "primal_value": report.primal_value,
             "dual_value": report.dual_value,
@@ -155,7 +154,7 @@ def _report_dict(inst, symmetric, p, report, cfg, tau_rel, seed):
             "g": p.g.tolist(),
             "symmetric": p.symmetric,
         },
-        "density": {"z": cd.z.tolist(), "pi": cd.pi.tolist()},
+        "density": {"z": cd.z.tolist()},
         "support": support_block,
         "components": components_block,
         "polytope": polytope_block,
@@ -183,7 +182,7 @@ def cmd_solve(args):
     loaded, inst, symmetric = _load(args)
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
-    doc = _report_dict(inst, symmetric, p, report, cfg, args.tau_rel, seed)
+    doc = _report_dict(inst, loaded.generator, symmetric, p, report, cfg, args.tau_rel, seed)
     _emit(qio.canonical_json(doc), args.out)
     return 0 if report.converged else 2
 
@@ -199,15 +198,11 @@ def cmd_analyze(args):
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {args.input}: {exc}") from None
 
-    from_report = "potentials" in doc  # a previously written report: check and reuse its solve
+    # a previously written report: check and reuse its solve
+    from_report = isinstance(doc, dict) and "potentials" in doc
     if from_report:
-        inst = qio.instance_from_dict(doc["instance"]).instance
-        pot = doc["potentials"]
-        p = Potentials(
-            f=np.asarray(pot["f"], float),
-            g=np.asarray(pot["g"], float),
-            symmetric=bool(pot.get("symmetric", False)),
-        )
+        loaded, p, tol = qio.report_from_dict(doc)
+        inst = loaded.instance
         _check_dimensions(inst, p)
     else:
         loaded = qio.instance_from_dict(doc)
@@ -218,7 +213,8 @@ def cmd_analyze(args):
 
     cd = density_from_potentials(inst, p)
     if from_report:
-        tol = doc.get("provenance", {}).get("tol_residual", SolverConfig().tol_residual)
+        if tol is None:
+            tol = SolverConfig().tol_residual
         residual = max_residual(inst, cd.z)
         if not residual <= tol:
             sys.stderr.write(
@@ -257,15 +253,14 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    _check_nonnegative(args.tol_verify, "--tol-verify")
     loaded, inst, symmetric = _load(args)
     with open(args.potentials) as fh:
         try:
             pot = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {args.potentials}: {exc}") from None
-    if "f" not in pot or "g" not in pot:
-        raise ValidationError("potentials file must contain fields 'f' and 'g'")
-    candidate = Potentials(f=np.asarray(pot["f"], float), g=np.asarray(pot["g"], float))
+    candidate = qio.potentials_from_dict(pot, f"potentials file {args.potentials}")
     _check_dimensions(inst, candidate)
     p, report = _solve(inst, symmetric, _config(args))
     z_star = density_from_potentials(inst, p)
@@ -277,6 +272,7 @@ def cmd_verify(args):
 
 
 def cmd_oracle(args):
+    _check_nonnegative(args.tol_oracle, "--tol-oracle")
     loaded, inst, symmetric = _load(args)
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
@@ -370,3 +366,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

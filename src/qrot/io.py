@@ -2,67 +2,113 @@
 
 Instances are JSON documents with ``schema_version`` 1, weight arrays, an
 ``epsilon`` and exactly one of a dense ``cost`` matrix or a ``generator``
-spec. Reports are JSON documents that round-trip losslessly: floats use the
-shortest round-trip representation, infinities in the constraint matrix are
-encoded as the string ``"inf"``, and serialization is canonical (sorted keys,
-fixed indentation), so identical inputs produce byte-identical reports.
+spec.
+
+Solve reports carry ``schema_version`` 2 (:data:`REPORT_SCHEMA_VERSION`).
+They hold the paper's objects and nothing that can be rebuilt from them:
+
+- ``instance``: an instance document (``schema_version`` 1) with the
+  effective epsilon. A generator instance echoes its validated generator
+  (``{"kind", "x", "y"}`` or ``{"kind", "gamma"}``, float values, extra
+  input keys dropped), which re-expands to a bit-identical cost; a
+  dense-cost instance keeps ``cost``;
+- ``report`` (the solve summary), ``potentials`` (``f``, ``g``),
+  ``density.z``, ``support.tau``, ``components`` (with ``labels``),
+  ``polytope`` and ``provenance``.
+
+Schema 1 also stored ``density.pi``, the expanded cost of generator
+instances and ``support.mask``. They follow from the rest: ``pi`` is
+``z * outer(mu_tilde, nu_tilde)`` and the mask is ``components.labels >= 0``.
+:func:`report_from_dict` reads reports of both schemas.
+
+Serialization is canonical (:func:`canonical_json`): sorted keys, two-space
+indent, shortest round-trip floats, a trailing newline, byte for byte what
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` writes, so
+identical inputs produce byte-identical reports. Infinities in the constraint
+matrices are encoded as the string ``"inf"``.
 """
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .model import Instance, ValidationError, validate_instance
+from .model import Instance, Potentials, ValidationError, validate_instance
 
 __all__ = [
     "SCHEMA_VERSION",
+    "REPORT_SCHEMA_VERSION",
+    "REPORT_SCHEMA_VERSIONS",
     "LoadedInstance",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",
+    "potentials_from_dict",
+    "report_from_dict",
     "canonical_json",
     "encode_extended",
     "decode_extended",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # instance documents, also inside reports
+REPORT_SCHEMA_VERSION = 2  # written by ``qrot solve``
+REPORT_SCHEMA_VERSIONS = (1, 2)  # read by ``qrot analyze``
 
 
 @dataclass(frozen=True)
 class LoadedInstance:
-    """A validated instance plus file-level metadata the solver core does not need."""
+    """A validated instance plus file-level metadata the solver core does not need.
+
+    ``generator`` is the validated generator echo that reports store in
+    place of the expanded cost; None for a dense-cost instance.
+    """
 
     instance: Instance
     symmetric: bool = False
     x: np.ndarray | None = None
     y: np.ndarray | None = None
+    generator: dict | None = None
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _numeric(doc, key, convert, owner=""):
+    """``convert(doc[key])``; a ValidationError naming the field if it is absent or not numeric."""
+    if key not in doc:
+        raise ValidationError(f"{owner}missing field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{owner}field {key!r} is not numeric") from None
 
 
 def _generator_cost(gen, n, m):
+    """Expanded cost, points (quadratic_1d only) and the validated echo of a generator."""
+    if not isinstance(gen, dict):
+        raise ValidationError("generator must be a JSON object")
     kind = gen.get("kind")
+    owner = f"generator {kind}: "
     if kind == "quadratic_1d":
-        try:
-            x = np.asarray(gen["x"], dtype=float)
-            y = np.asarray(gen["y"], dtype=float)
-        except KeyError as exc:
-            raise ValidationError(f"generator quadratic_1d is missing field {exc}") from None
-        if x.size != n or y.size != m:
+        x = _numeric(gen, "x", _floats, owner)
+        y = _numeric(gen, "y", _floats, owner)
+        if x.shape != (n,) or y.shape != (m,):
             raise ValidationError(
-                f"dimension mismatch: generator points have sizes ({x.size}, {y.size}),"
-                f" expected ({n}, {m})"
+                f"dimension mismatch: generator points have shapes {x.shape}, {y.shape},"
+                f" expected ({n},), ({m},)"
             )
-        return (x[:, None] - y[None, :]) ** 2, x, y
+        echo = {"kind": kind, "x": x.tolist(), "y": y.tolist()}
+        return (x[:, None] - y[None, :]) ** 2, x, y, echo
     if kind == "indicator_offdiag":
         if n != m:
             raise ValidationError(
                 f"dimension mismatch: indicator_offdiag needs square instances, got ({n}, {m})"
             )
-        try:
-            gamma = float(gen["gamma"])
-        except KeyError:
-            raise ValidationError("generator indicator_offdiag is missing field 'gamma'") from None
-        return (2.0 + gamma) * (1.0 - np.eye(n)), None, None
+        gamma = _numeric(gen, "gamma", float, owner)
+        return (2.0 + gamma) * (1.0 - np.eye(n)), None, None, {"kind": kind, "gamma": gamma}
     raise ValidationError(f"unknown generator kind {kind!r}")
 
 
@@ -74,46 +120,51 @@ def instance_from_dict(doc):
         raise ValidationError(
             f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
         )
-    for key in ("mu", "nu"):
-        if key not in doc:
-            raise ValidationError(f"missing field {key!r}")
+    mu = _numeric(doc, "mu", _floats)
+    nu = _numeric(doc, "nu", _floats)
     has_cost = "cost" in doc
     has_gen = "generator" in doc
     if has_cost == has_gen:
         raise ValidationError("exactly one of 'cost' or 'generator' must be present")
 
-    mu = np.asarray(doc["mu"], dtype=float)
-    nu = np.asarray(doc["nu"], dtype=float)
-    x = y = None
+    x = y = generator = None
     if has_cost:
-        cost = np.asarray(doc["cost"], dtype=float)
+        cost = _numeric(doc, "cost", _floats)
     else:
-        cost, x, y = _generator_cost(doc["generator"], mu.size, nu.size)
+        cost, x, y, generator = _generator_cost(doc["generator"], mu.size, nu.size)
+    mu_tilde, nu_tilde = (
+        None if doc.get(key) is None else _numeric(doc, key, _floats)
+        for key in ("mu_tilde", "nu_tilde")
+    )
 
     inst = validate_instance(
-        mu,
-        nu,
-        cost,
-        mu_tilde=doc.get("mu_tilde"),
-        nu_tilde=doc.get("nu_tilde"),
-        epsilon=doc.get("epsilon", 1.0),
+        mu, nu, cost, mu_tilde=mu_tilde, nu_tilde=nu_tilde, epsilon=doc.get("epsilon", 1.0)
     )
     return LoadedInstance(
-        instance=inst, symmetric=bool(doc.get("symmetric", False)), x=x, y=y
+        instance=inst,
+        symmetric=bool(doc.get("symmetric", False)),
+        x=x,
+        y=y,
+        generator=generator,
     )
 
 
-def instance_to_dict(inst, symmetric=False):
-    return {
+def instance_to_dict(inst, symmetric=False, generator=None):
+    """Instance document of ``inst``; with a generator echo in place of the dense cost."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "mu": inst.mu.tolist(),
         "nu": inst.nu.tolist(),
         "mu_tilde": inst.mu_tilde.tolist(),
         "nu_tilde": inst.nu_tilde.tolist(),
-        "cost": inst.cost.tolist(),
         "epsilon": inst.epsilon,
         "symmetric": bool(symmetric),
     }
+    if generator is None:
+        doc["cost"] = inst.cost.tolist()
+    else:
+        doc["generator"] = generator
+    return doc
 
 
 def load_instance(path):
@@ -123,6 +174,42 @@ def load_instance(path):
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     return instance_from_dict(doc)
+
+
+def potentials_from_dict(doc, where):
+    """Potentials from an object with numeric arrays ``f``, ``g`` (and an optional
+    ``symmetric`` flag); ``where`` names the object in error messages."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    f, g = (_numeric(doc, key, _floats, f"{where}: ") for key in ("f", "g"))
+    return Potentials(f, g, symmetric=bool(doc.get("symmetric", False)))
+
+
+def report_from_dict(doc):
+    """The parts of a solve report (schema 1 or 2) that analysis reuses.
+
+    Returns ``(loaded, potentials, tol_residual)``; ``tol_residual`` is the
+    report's ``provenance.tol_residual``, or None when the report has none.
+    Raises :class:`ValidationError` naming the malformed field.
+    """
+    version = doc.get("schema_version")
+    if version not in REPORT_SCHEMA_VERSIONS:
+        raise ValidationError(
+            f"report schema_version must be one of {REPORT_SCHEMA_VERSIONS}, got {version!r}"
+        )
+    if "instance" not in doc:
+        raise ValidationError("report has no field 'instance'")
+    loaded = instance_from_dict(doc["instance"])
+    p = potentials_from_dict(doc["potentials"], "report field 'potentials'")
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValidationError("report field 'provenance' must be a JSON object")
+    if provenance.get("tol_residual") is None:
+        return loaded, p, None
+    tol = _numeric(provenance, "tol_residual", float, "report field 'provenance': ")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"report tol_residual must be finite and nonnegative, got {tol!r}")
+    return loaded, p, tol
 
 
 def encode_extended(matrix):
@@ -145,6 +232,69 @@ def decode_extended(rows):
     return arr
 
 
+_PLAIN_NUMBERS = {float, int}
+
+
+def _float(o):
+    if o != o or o in (math.inf, -math.inf):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+    return float.__repr__(o)
+
+
+def _key(k):
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+            )
+        k = _encode(k, "")
+    return encode_basestring_ascii(k)
+
+
+def _encode(o, pad):
+    """JSON text of ``o`` whose first line continues a line; ``pad`` is a newline
+    plus the indentation of that line."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = None
+        if set(map(type, o)) <= _PLAIN_NUMBERS:
+            # repr of an exact int or float is int.__repr__ or float.__repr__,
+            # and only nan and the infinities write an "n"
+            body = sep.join(map(repr, o))
+            if "n" in body:
+                body = None  # the per-item route raises on the first one
+        if body is None:
+            body = sep.join([_encode(v, inner) for v in o])
+        return "[" + inner + body + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())])
+        return "{" + inner + body + pad + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def canonical_json(obj):
-    """Deterministic serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Deterministic serialization: sorted keys, two-space indent, trailing newline.
+
+    Byte-identical to ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, including its ValueError on nan and infinities
+    and its TypeError on unsupported types, but list-joins numbers instead of
+    running the json module's pure-Python indenting encoder item by item.
+    """
+    return _encode(obj, "\n") + "\n"

@@ -3,6 +3,7 @@
 import numpy as np
 
 from qrot import coupling_from_z, northwest_corner, validate_instance
+from qrot.io import instance_from_dict
 
 
 def pytest_runtest_logreport(report):
@@ -225,3 +226,29 @@ def brute_components(mask):
             if merged:
                 break
     return {frozenset(g) for g in groups}
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def schema1_report(doc):
+    """The schema-1 report with the content of the schema-2 report ``doc``.
+
+    Schema 1 also stored the expanded cost in place of a generator echo,
+    ``density.pi = z * outer(mu_tilde, nu_tilde)`` and ``support.mask``
+    (``components.labels >= 0`` as 0/1).
+    """
+    instance = {k: v for k, v in doc["instance"].items() if k != "generator"}
+    instance["cost"] = instance_from_dict(doc["instance"]).instance.cost.tolist()
+    # the stored weights: validating them again may renormalize in the last bit
+    ref_weights = np.outer(instance["mu_tilde"], instance["nu_tilde"])
+    z = np.array(doc["density"]["z"])
+    mask = np.array(doc["components"]["labels"]) >= 0
+    return {
+        **doc,
+        "schema_version": 1,
+        "instance": instance,
+        "density": {**doc["density"], "pi": (z * ref_weights).tolist()},
+        "support": {**doc["support"], "mask": mask.astype(int).tolist()},
+    }

@@ -1,6 +1,9 @@
 import errno
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from qrot.io import (
 )
 from qrot import PotentialConsistencyError, Potentials, ValidationError
 from qrot.projection import project
-from conftest import block_instance, random_symmetric_instance
+from conftest import block_instance, random_symmetric_instance, schema1_report
 
 
 def write_json(path, doc):
@@ -84,6 +87,24 @@ class TestInstanceFormat:
         with pytest.raises(ValidationError, match="schema_version"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mu", ["a", 0.5]),
+            ("nu_tilde", "x"),
+            ("cost", [[0.0, 1.0], [1.0]]),
+            ("generator", {"kind": "quadratic_1d", "x": [0.0, "a"], "y": [0.0, 1.0]}),
+            ("generator", {"kind": "indicator_offdiag", "gamma": [1.0, 2.0]}),
+        ],
+    )
+    def test_non_numeric_fields_rejected(self, key, value):
+        doc = offdiag_doc()
+        if key == "cost":
+            doc.pop("generator")
+        doc[key] = value
+        with pytest.raises(ValidationError, match="is not numeric"):
+            instance_from_dict(doc)
+
     def test_roundtrip_through_dict(self):
         loaded = instance_from_dict(offdiag_doc(1.0))
         again = instance_from_dict(instance_to_dict(loaded.instance))
@@ -123,7 +144,8 @@ class TestSolveCommand:
         assert rc == 0
         doc = json.loads(out)
         assert abs(doc["report"]["duality_gap"]) <= 1e-10
-        assert doc["support"]["mask"] == [[1, 0], [0, 1]]
+        support = (np.array(doc["components"]["labels"]) >= 0).astype(int)
+        np.testing.assert_array_equal(support, [[1, 0], [0, 1]])
         assert doc["polytope"]["a"][0][1] == pytest.approx(1.0, abs=1e-9)
         assert doc["polytope"]["dimension"] == 2
 
@@ -414,12 +436,149 @@ class TestNumericFlags:
         )
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "command, flag", [("verify", "--tol-verify"), ("oracle", "--tol-oracle")]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit_one_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        pot_path = write_json(tmp_path / "pot.json", {"f": [0.3, 0.8], "g": [1.7, 1.2]})
+        calls = []
+        monkeypatch.setattr(qrot.cli, "solve", lambda *args: calls.append(args))
+        extra = ["--potentials", pot_path] if command == "verify" else []
+        rc = main([command, path, *extra, flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} must be finite and nonnegative, got {float(value)!r}\n"
+        )
+        assert calls == []
+
     def test_zero_tau_rel_accepted(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         # the zero densities sit on a zero threshold, which support_set flags
         with pytest.warns(UserWarning, match="support threshold"):
             assert main(["solve", path, "--tau-rel", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["support"]["tau"] == 0.0
+
+
+def solve_report(tmp_path, doc, *flags):
+    """Write ``doc``, run ``qrot solve`` on it and return the report's path and document."""
+    path = write_json(tmp_path / "inst.json", doc)
+    out = tmp_path / "report.json"
+    assert main(["solve", path, "--out", str(out), *flags]) == 0
+    return out, json.loads(out.read_text())
+
+
+class TestReportSchema:
+    def test_schema2_drops_derived_fields(self, tmp_path):
+        _, doc = solve_report(tmp_path, offdiag_doc(1.0))
+        assert doc["schema_version"] == 2
+        assert doc["instance"]["schema_version"] == 1
+        assert doc["instance"]["generator"] == {"kind": "indicator_offdiag", "gamma": 1.0}
+        assert "cost" not in doc["instance"]
+        assert set(doc["density"]) == {"z"}
+        assert set(doc["support"]) == {"tau"}
+
+    def test_dense_cost_instance_keeps_cost(self, tmp_path):
+        inst = random_symmetric_instance(np.random.default_rng(0))
+        _, doc = solve_report(tmp_path, instance_to_dict(inst))
+        assert doc["instance"]["cost"] == inst.cost.tolist()
+        assert "generator" not in doc["instance"]
+
+    def test_analyze_same_bytes_on_schema1_and_schema2(self, tmp_path, capsys):
+        new_path, doc = solve_report(tmp_path, quadratic_doc(40), "--eps", "0.01")
+        old_path = write_json(tmp_path / "old.json", schema1_report(doc))
+        outputs = []
+        for path in (old_path, str(new_path)):
+            assert main(["analyze", path, "--samples", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert set(json.loads(outputs[0])["support"]) == {"tau"}
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"kind": "quadratic_1d", "x": [0, 0.1, 1 / 3, 2.0], "y": [1, 0.7, 0.2, 1e-300]},
+            {"kind": "indicator_offdiag", "gamma": 0.1 + 0.2},
+        ],
+    )
+    def test_generator_echo_reexpands_bit_identical(self, tmp_path, generator):
+        doc = {"schema_version": 1, "mu": [0.25] * 4, "nu": [0.25] * 4, "generator": generator}
+        _, report = solve_report(tmp_path, doc)
+        echoed = instance_from_dict(report["instance"]).instance.cost
+        assert echoed.tobytes() == instance_from_dict(doc).instance.cost.tobytes()
+
+    def test_generator_echo_keeps_only_validated_fields(self, tmp_path):
+        doc = quadratic_doc(3)
+        doc["generator"].update(x=[0, 1, 2], note="extra", gamma=5)
+        _, report = solve_report(tmp_path, doc)
+        echo = report["instance"]["generator"]
+        assert echo == {"kind": "quadratic_1d", "x": [0.0, 1.0, 2.0], "y": doc["generator"]["y"]}
+        assert all(type(v) is float for v in echo["x"] + echo["y"])
+        doc = offdiag_doc(1)
+        doc["generator"]["x"] = [1.0]
+        _, report = solve_report(tmp_path, doc)
+        assert report["instance"]["generator"] == {"kind": "indicator_offdiag", "gamma": 1.0}
+        assert type(report["instance"]["generator"]["gamma"]) is float
+
+    def test_eps_echoes_effective_epsilon(self, tmp_path, capsys):
+        # the stored potentials meet their marginals only at the effective epsilon
+        path, doc = solve_report(tmp_path, quadratic_doc(8), "--eps", "0.05")
+        assert doc["instance"]["epsilon"] == 0.05
+        assert main(["analyze", str(path)]) == 0
+
+
+def _drop(key, *path):
+    def edit(doc):
+        for name in path:
+            doc = doc[name]
+        del doc[key]
+
+    return edit
+
+
+def _set(value, *path):
+    def edit(doc):
+        for name in path[:-1]:
+            doc = doc[name]
+        doc[path[-1]] = value
+
+    return edit
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_drop("instance"), "report has no field 'instance'"),
+            (_drop("f", "potentials"), "report field 'potentials': missing field 'f'"),
+            (_set(["a", "b"], "potentials", "f"), "report field 'potentials': field 'f' is not"),
+            (_set([0.0, None], "potentials", "g"), "nonfinite potential at g[1]"),
+            (_set([1.0, 2.0], "potentials"), "report field 'potentials' must be a JSON object"),
+            (_set("none", "provenance"), "report field 'provenance' must be a JSON object"),
+            (_set("abc", "provenance", "tol_residual"), "report field 'provenance': field"),
+            (_set(-1.0, "provenance", "tol_residual"), "report tol_residual must be finite"),
+            (_set(3, "schema_version"), "report schema_version must be one of (1, 2), got 3"),
+            (_drop("schema_version"), "report schema_version must be one of (1, 2), got None"),
+            (_set(5, "instance", "generator"), "generator must be a JSON object"),
+            (_set("abc", "instance", "generator", "gamma"), "generator indicator_offdiag: field"),
+            (_set(["a", "b"], "instance", "mu"), "field 'mu' is not numeric"),
+        ],
+    )
+    def test_analyze_exit_one(self, tmp_path, capsys, edit, message):
+        path, doc = solve_report(tmp_path, offdiag_doc(1.0))
+        edit(doc)
+        write_json(path, doc)
+        rc = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1
 
 
 class TestBlockReportRoundTrip:
@@ -469,6 +628,16 @@ class TestVerifyCommand:
         rc = main(["verify", inst_path, "--potentials", pot_path])
         assert rc == 1
 
+    def test_non_numeric_potentials_exit_one(self, tmp_path, capsys):
+        inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        pot_path = write_json(tmp_path / "pot.json", {"f": ["a", "b"], "g": [0.0, 0.0]})
+        rc = main(["verify", inst_path, "--potentials", pot_path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            f"error: potentials file {pot_path}: field 'f' is not numeric\n"
+        )
+
 
 class TestOracleCommand:
     def test_agreement(self, tmp_path, capsys):
@@ -484,3 +653,20 @@ class TestOracleCommand:
         rc = main(["oracle", path])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: projection did not converge")
+
+
+@pytest.mark.parametrize("module", ["qrot", "qrot.cli"])
+def test_python_m_entry_points(tmp_path, module):
+    src = os.path.dirname(os.path.dirname(qrot.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", module, "solve", str(tmp_path / "missing.json")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+    doc = instance_to_dict(random_symmetric_instance(np.random.default_rng(0)), symmetric=True)
+    argv[-1:] = [write_json(tmp_path / "inst.json", doc), "--max-sweeps", "1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["report"]["converged"] is False

@@ -1,0 +1,139 @@
+"""Canonical JSON encoder against the json module, on generated trees (Hypothesis).
+
+``canonical_json`` must write exactly what ``json.dumps(obj, indent=2,
+sort_keys=True, allow_nan=False) + "\\n"`` writes, and raise the same
+exception types. Examples are derandomized, so every run checks the same
+trees.
+"""
+
+import enum
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qrot.cli import main
+from qrot.io import canonical_json
+from conftest import schema1_report
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+FEW = settings(SETTINGS, max_examples=50)
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+EDGE_FLOATS += [1e16, 1e-7, 0.1, 123456789.0]
+EDGE_INTS = [0, -1, 2**53 + 1, -(2**63), 10**40]
+
+
+def reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+ints = st.integers() | st.sampled_from(EDGE_INTS)
+# quotes, backslashes, control characters, non-ASCII and astral characters
+texts = st.text(
+    st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/é€😀') | st.characters(),
+    max_size=8,
+)
+# plain numbers take the list-join route; a bool or None among them the per-item route
+number_lists = st.lists(ints | floats, max_size=12) | st.lists(
+    ints | floats | st.booleans() | st.none(), max_size=12
+)
+leaves = st.none() | st.booleans() | ints | floats | texts
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(texts, children, max_size=5)
+        | number_lists
+    )
+
+
+trees = st.recursive(leaves | number_lists, containers, max_leaves=15)
+
+
+@SETTINGS
+@given(trees)
+def test_same_bytes_as_json_dumps(obj):
+    assert canonical_json(obj) == reference(obj)
+
+
+@FEW
+@given(st.dictionaries(st.none() | st.booleans() | ints | floats, leaves | number_lists))
+def test_non_string_keys_as_json_dumps(obj):
+    # json sorts such keys first, then writes them as strings
+    try:
+        expected = reference(obj)
+    except TypeError:  # keys that do not sort, as True and 0.5
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+    else:
+        assert canonical_json(obj) == expected
+
+
+def containing(bad):
+    """Trees with ``bad`` at some depth, behind valid siblings."""
+    return st.recursive(
+        st.just(bad),
+        lambda inner: st.tuples(number_lists, inner, number_lists).map(
+            lambda t: [*t[0], t[1], *t[2]]
+        )
+        | st.tuples(st.dictionaries(texts, leaves, max_size=3), texts, inner).map(
+            lambda t: {**t[0], t[1]: t[2]}
+        ),
+        max_leaves=6,
+    )
+
+
+@FEW
+@given(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]).flatmap(containing))
+def test_nonfinite_floats_raise_value_error(obj):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        reference(obj)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        canonical_json(obj)
+
+
+class Code(enum.IntEnum):
+    ONE = 1
+
+
+def test_number_subclasses_take_the_repr_of_their_base():
+    # numpy floats subclass float, IntEnum members subclass int
+    obj = {"a": [np.float64(0.1), np.float64(-0.0), Code.ONE, 2], "b": np.float64(1e300)}
+    obj["c"] = Code.ONE
+    assert canonical_json(obj) == reference(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [np.int64(1), [np.bool_(True)], {1, 2}, [1.0, object()], {"k": 1j}, {(1, 2): 0}]
+)
+def test_unsupported_types_raise_type_error(obj):
+    with pytest.raises(TypeError):
+        reference(obj)
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+def test_schema1_report_same_bytes(tmp_path):
+    # a report in the former schema, with cost, pi and mask, of a 40-point instance
+    n = 40
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(size=n)).tolist()
+    w = rng.uniform(0.5, 1.5, n)
+    w = (w / w.sum()).tolist()
+    doc = {"schema_version": 1, "mu": w, "nu": w[::-1], "epsilon": 0.01,
+           "generator": {"kind": "quadratic_1d", "x": x, "y": x}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert canonical_json(report) == reference(report) == out.read_text()
+    old = schema1_report(report)
+    assert canonical_json(old) == reference(old)
