@@ -3,7 +3,12 @@
 Commands: ``solve`` (full report), ``analyze`` (components and polytope),
 ``sweep`` (epsilon schedule to CSV), ``verify`` (membership test for a
 user-supplied potential pair) and ``oracle`` (dual solve against the
-projection solver).
+projection solver). Each command takes only the flags its output depends on:
+``--normalization`` belongs to ``solve`` (the only command that writes
+potentials), ``--seed`` to ``analyze`` (the only one that draws random
+numbers), and ``sweep`` takes its epsilons from ``--eps-list`` and its mode
+from the instance. Flags must be spelled out in full; any other flag exits 2
+with argparse's usage message.
 
 Exit codes: 0 success, 1 input error (message names the offending field, or
 the file that is missing, a directory or not readable), 2 non-convergence or
@@ -11,9 +16,11 @@ tolerance failure (a report is still written when one exists; a dual decrease,
 potentials inconsistent with their support and a projection that does not
 converge end here too, and so do ``analyze`` reports whose stored potentials
 miss their marginals), 3 verification rejected. Every error prints one
-``error: ...`` line, never a traceback. The environment variable
-``QROT_SEED`` overrides ``--seed`` of ``solve`` and ``analyze``; a seed that
-is negative or not an integer, and a negative ``--samples``, exit 1.
+``error: ...`` line, never a traceback. ``analyze`` on a report reuses the
+report's solve, so ``--eps``, ``--tol``, ``--max-sweeps`` and ``--symmetric``
+exit 1 there. The environment variable ``QROT_SEED`` overrides ``--seed`` of
+``analyze``; a seed that is negative or not an integer, and a negative
+``--samples``, exit 1.
 """
 
 import argparse
@@ -87,13 +94,12 @@ def _config(args):
     return SolverConfig(**kwargs)
 
 
-def _load(args):
-    loaded = qio.load_instance(args.input)
+def _instance(loaded, args):
+    """The loaded instance at ``--eps``, and whether to solve it as self-transport."""
     inst = loaded.instance
     if args.eps is not None:
         inst = with_epsilon(inst, args.eps)
-    symmetric = loaded.symmetric or getattr(args, "symmetric", False)
-    return loaded, inst, symmetric
+    return inst, loaded.symmetric or args.symmetric
 
 
 def _solve(inst, symmetric, cfg):
@@ -133,7 +139,7 @@ def _analysis_blocks(inst, p, cd, tau_rel):
     return support_block, components_block, polytope_block, decomp, pd
 
 
-def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel, seed):
+def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel):
     cd = density_from_potentials(inst, p)
     support_block, components_block, polytope_block, _, _ = _analysis_blocks(
         inst, p, cd, tau_rel
@@ -163,7 +169,6 @@ def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel, seed):
             "max_sweeps": cfg.max_sweeps,
             "normalization": cfg.normalization,
             "tau_rel": tau_rel,
-            "seed": seed,
         },
     }
 
@@ -177,12 +182,12 @@ def _emit(text, out_path):
 
 
 def cmd_solve(args):
-    seed = _seed(args)
     _check_nonnegative(args.tau_rel, "--tau-rel")
-    loaded, inst, symmetric = _load(args)
+    loaded = qio.load_instance(args.input)
+    inst, symmetric = _instance(loaded, args)
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
-    doc = _report_dict(inst, loaded.generator, symmetric, p, report, cfg, args.tau_rel, seed)
+    doc = _report_dict(inst, loaded.generator, symmetric, p, report, cfg, args.tau_rel)
     _emit(qio.canonical_json(doc), args.out)
     return 0 if report.converged else 2
 
@@ -201,15 +206,23 @@ def cmd_analyze(args):
     # a previously written report: check and reuse its solve
     from_report = isinstance(doc, dict) and "potentials" in doc
     if from_report:
+        solver_flags = [
+            ("--eps", args.eps),
+            ("--tol", args.tol),
+            ("--max-sweeps", args.max_sweeps),
+            ("--symmetric", args.symmetric or None),
+        ]
+        given = [flag for flag, value in solver_flags if value is not None]
+        if given:
+            raise ValidationError(
+                f"analyze reuses the report's solve, so it takes no {', '.join(given)}"
+            )
         loaded, p, tol = qio.report_from_dict(doc)
         inst = loaded.instance
         _check_dimensions(inst, p)
     else:
-        loaded = qio.instance_from_dict(doc)
-        inst = loaded.instance
-        if args.eps is not None:
-            inst = with_epsilon(inst, args.eps)
-        p, _ = _solve(inst, loaded.symmetric or args.symmetric, _config(args))
+        inst, symmetric = _instance(qio.instance_from_dict(doc), args)
+        p, _ = _solve(inst, symmetric, _config(args))
 
     cd = density_from_potentials(inst, p)
     if from_report:
@@ -239,10 +252,10 @@ def cmd_analyze(args):
 
 
 def cmd_sweep(args):
-    loaded, inst, _ = _load(args)
+    loaded = qio.load_instance(args.input)
     if loaded.x is None or loaded.y is None:
         raise ValidationError("sweep requires an instance with a quadratic_1d generator")
-    grid = Grid1D(xs=loaded.x, mu=inst.mu, ys=loaded.y, nu=inst.nu)
+    grid = Grid1D(xs=loaded.x, mu=loaded.instance.mu, ys=loaded.y, nu=loaded.instance.nu)
     eps_list = _eps_list(args.eps_list)
     _check_nonnegative(args.delta, "--delta")
     if args.out is None:
@@ -254,7 +267,7 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     _check_nonnegative(args.tol_verify, "--tol-verify")
-    loaded, inst, symmetric = _load(args)
+    inst, symmetric = _instance(qio.load_instance(args.input), args)
     with open(args.potentials) as fh:
         try:
             pot = json.load(fh)
@@ -273,7 +286,7 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     _check_nonnegative(args.tol_oracle, "--tol-oracle")
-    loaded, inst, symmetric = _load(args)
+    inst, symmetric = _instance(qio.load_instance(args.input), args)
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
     cd_dual = density_from_potentials(inst, p)
@@ -300,9 +313,14 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, normalization=True):
-        sp.add_argument("input", help="instance JSON file")
-        sp.add_argument("--eps", type=float, default=None, help="override epsilon")
+    def add_command(name, func, help, input_help="instance JSON file", instance_flags=True):
+        # no abbreviations: sweep would otherwise read --eps as --eps-list
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(func=func)
+        sp.add_argument("input", help=input_help)
+        if instance_flags:
+            sp.add_argument("--eps", type=float, default=None, help="override epsilon")
+            sp.add_argument("--symmetric", action="store_true", help="force self-transport mode")
         sp.add_argument("--tol", type=float, default=None, help="marginal residual tolerance")
         sp.add_argument(
             "--max-sweeps",
@@ -311,42 +329,40 @@ def _build_parser():
             dest="max_sweeps",
             help="iteration budget; each sweep and each Newton step counts as one",
         )
-        sp.add_argument("--symmetric", action="store_true", help="force self-transport mode")
-        if normalization:
-            sp.add_argument("--normalization", choices=NORMALIZATIONS, default=None)
+        return sp
 
-    sp = sub.add_parser("solve", help="solve and write a full report")
-    add_common(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = add_command("solve", cmd_solve, "solve and write a full report")
+    sp.add_argument("--normalization", choices=NORMALIZATIONS, default=None)
     sp.add_argument("--tau-rel", type=float, default=DEFAULT_TAU_REL, dest="tau_rel")
     sp.add_argument("--out", default=None, help="report path (default: stdout)")
-    sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("analyze", help="components and polytope of an instance or report")
-    add_common(sp)
+    sp = add_command(
+        "analyze",
+        cmd_analyze,
+        "components and polytope of an instance or report",
+        input_help="instance or report JSON file; a report takes no solver flags",
+    )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tau-rel", type=float, default=DEFAULT_TAU_REL, dest="tau_rel")
     sp.add_argument("--samples", type=int, default=0, help="sample shift vectors from the polytope")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("sweep", help="epsilon sweep of a quadratic 1-d instance, to CSV")
-    add_common(sp, normalization=False)
+    sp = add_command(
+        "sweep",
+        cmd_sweep,
+        "epsilon sweep of a quadratic 1-d instance, to CSV",
+        instance_flags=False,
+    )
     sp.add_argument("--eps-list", required=True, dest="eps_list", help="comma separated epsilons")
     sp.add_argument("--delta", type=float, required=True, help="neighborhood radius")
     sp.add_argument("--out", default=None, help="CSV output path")
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("verify", help="test a user potential pair against the solved density")
-    add_common(sp)
+    sp = add_command("verify", cmd_verify, "test a user potential pair against the solved density")
     sp.add_argument("--potentials", required=True, help="JSON file with fields f, g")
     sp.add_argument("--tol-verify", type=float, default=DEFAULT_VERIFY_TOL, dest="tol_verify")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("oracle", help="diff the dual solve against the projection solver")
-    add_common(sp)
+    sp = add_command("oracle", cmd_oracle, "diff the dual solve against the projection solver")
     sp.add_argument("--tol-oracle", type=float, default=DEFAULT_ORACLE_TOL, dest="tol_oracle")
-    sp.set_defaults(func=cmd_oracle)
     return parser
 
 

@@ -58,6 +58,10 @@ def _normalized_weights(values, name):
     total = float(w.sum())
     if abs(total - 1.0) > 1e-6:
         warnings.warn(f"{name} sums to {total:.9g}; renormalizing to 1", stacklevel=3)
+    # w / w.sum() is not idempotent in floating point: leave a vector that one
+    # division already normalized as it is, so validation is idempotent
+    if abs(total - 1.0) <= w.size * np.finfo(float).eps:
+        return w
     return w / total
 
 
@@ -96,8 +100,10 @@ class Instance:
 def validate_instance(mu, nu, cost, mu_tilde=None, nu_tilde=None, epsilon=1.0):
     """Validate raw arrays and return a normalized :class:`Instance`.
 
-    Weight vectors must be strictly positive; they are renormalized to sum
-    exactly to one, with a warning if the raw sum is off by more than 1e-6.
+    Weight vectors must be strictly positive. They are divided by their sum
+    unless it is already within ``size * machine epsilon`` of one (so that
+    validating validated weights returns them unchanged), with a warning if
+    the raw sum is off by more than 1e-6.
     When the reference weights are omitted they default to the marginals
     themselves.
 

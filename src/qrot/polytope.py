@@ -15,7 +15,9 @@ Every row and column meeting the support carries one component label, so
 by label and ``np.minimum.reduceat`` takes the block minima in O(nm), first
 over rows, then over columns; unmatched rows and columns are left out.
 Support cells need no masking, since each lies in a diagonal block, and
-diagonal entries are zero by definition.
+diagonal entries are zero by definition. An off-support cell may carry
+density up to the support threshold ``tau``, so its slack may be as low as
+``-tau``; such slacks are floored at zero, which keeps ``alpha = 0`` feasible.
 
 Difference-constraint systems are canonical shortest-path objects: the
 min-plus closure of ``a`` gives the tightest bound on each difference, pairs
@@ -87,7 +89,7 @@ def _axis_labels(decomp):
     return decomp.labels.max(axis=1), decomp.labels.max(axis=0)
 
 
-def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
+def compute_polytope(inst, p, decomp, s):
     """Describe all potential pairs reachable from ``p`` by component shifts.
 
     Parameters
@@ -98,15 +100,17 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
     decomp : ComponentDecomposition
     s : SupportSet
         Both derived from the density of the same solve; the labels of
-        ``decomp`` carry the support, so ``s`` is not read again.
-    tol : float
-        Feasibility and rigidity tolerance.
+        ``decomp`` carry the support, and ``s.tau`` is the feasibility
+        tolerance. An off-support cell has density at most ``s.tau``, so its
+        slack is at least ``-s.tau``; slacks in ``[-s.tau, 0)`` are floored
+        at 0, since the cell is off the support and ``alpha = 0`` stays
+        feasible. Rigidity is decided to ``RIGID_TOL``.
 
     Raises
     ------
     PotentialConsistencyError
-        If some slack is negative beyond ``tol``, which means the potentials
-        and the support mask do not belong to a converged solve.
+        If some slack is below ``-max(RIGID_TOL, s.tau)``, which means the
+        potentials and the support mask do not belong to the same solve.
     """
     count = decomp.count
     row_label, col_label = _axis_labels(decomp)
@@ -122,17 +126,17 @@ def compute_polytope(inst, p, decomp, s, tol=RIGID_TOL):
     a = np.minimum.reduceat(a, col_starts, axis=1) / inst.epsilon
     np.fill_diagonal(a, 0.0)
 
+    tol = max(RIGID_TOL, s.tau)
     if np.any(a < -tol):
         i, j = np.argwhere(a < -tol)[0]
         raise PotentialConsistencyError(
             f"potentials inconsistent with support: a[{i},{j}] = {a[i, j]:.3e} < 0"
         )
+    # with a >= 0 the closure has no negative cycle and a zero diagonal
+    np.maximum(a, 0.0, out=a)
 
     dist = _floyd_warshall(a)
-    if np.any(np.diag(dist) < -tol):
-        raise PotentialConsistencyError("potentials inconsistent with support: negative cycle")
-
-    rigid_mask = dist + dist.T <= tol  # the diagonal is True: no negative cycle
+    rigid_mask = dist + dist.T <= RIGID_TOL
     rigid = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(rigid_mask, 1)))
     dimension = components(SupportSet(mask=rigid_mask, tau=0.0)).count
 

@@ -19,7 +19,7 @@ from qrot.io import (
     instance_from_dict,
     instance_to_dict,
 )
-from qrot import PotentialConsistencyError, Potentials, ValidationError
+from qrot import PotentialConsistencyError, Potentials, ValidationError, density_from_potentials
 from qrot.projection import project
 from conftest import block_instance, random_symmetric_instance, schema1_report
 
@@ -210,8 +210,8 @@ class TestSolveCommand:
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
-        assert main(["solve", path, "--seed", "5", "--out", str(out_a)]) == 0
-        assert main(["solve", path, "--seed", "5", "--out", str(out_b)]) == 0
+        assert main(["solve", path, "--out", str(out_a)]) == 0
+        assert main(["solve", path, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_determinism_byte_identical_after_newton_steps(self, tmp_path):
@@ -288,6 +288,25 @@ class TestAnalyzeCommand:
         write_json(report_path, doc)
         assert main(["analyze", str(report_path)]) == 1
         assert capsys.readouterr().err.startswith("error: dimension mismatch")
+
+    @pytest.mark.parametrize(
+        "flag", [["--eps", "0.5"], ["--tol", "1e-6"], ["--max-sweeps", "0"], ["--symmetric"]]
+    )
+    def test_report_rejects_solver_flags(self, tmp_path, capsys, monkeypatch, flag):
+        inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        report_path = tmp_path / "report.json"
+        assert main(["solve", inst_path, "--out", str(report_path)]) == 0
+        calls = []
+        monkeypatch.setattr(qrot.cli, "solve", lambda *args: calls.append(args))
+        monkeypatch.setattr(qrot.cli, "solve_symmetric", lambda *args: calls.append(args))
+        out_path = tmp_path / "analysis.json"
+        rc = main(["analyze", str(report_path), *flag, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: analyze reuses the report's solve, so it takes no {flag[0]}\n"
+        assert calls == []
+        assert not out_path.exists()
 
     def test_symmetric_flag_honoured(self, tmp_path, capsys, monkeypatch):
         doc = instance_to_dict(random_symmetric_instance(np.random.default_rng(0)))
@@ -380,19 +399,34 @@ class TestSweepCommand:
         assert rc == 1
         assert "quadratic_1d" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep", "verify", "oracle"])
-    def test_seed_unrecognized(self, tmp_path, capsys, command):
-        # only solve and analyze draw random numbers, so only they take --seed
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param("sweep", ["--seed", "1"], id="sweep"),
+            pytest.param("verify", ["--seed", "1"], id="verify"),
+            pytest.param("oracle", ["--seed", "1"], id="oracle"),
+            pytest.param("solve", ["--seed", "1"], id="solve-seed"),
+            pytest.param("analyze", ["--normalization", "none"], id="analyze-normalization"),
+            pytest.param("verify", ["--normalization", "none"], id="verify-normalization"),
+            pytest.param("oracle", ["--normalization", "none"], id="oracle-normalization"),
+            pytest.param("sweep", ["--eps", "0.1"], id="sweep-eps"),
+            pytest.param("sweep", ["--symmetric"], id="sweep-symmetric"),
+        ],
+    )
+    def test_seed_unrecognized(self, tmp_path, capsys, command, flag):
+        # only analyze draws random numbers, so only it takes --seed; only solve
+        # writes potentials, so only it takes --normalization; sweep takes its
+        # epsilons from --eps-list and its mode from the instance
         path = write_json(tmp_path / "grid.json", quadratic_doc(8))
         extra = {
             "sweep": ["--eps-list", "1,0.1", "--delta", "0.2", "--out", str(tmp_path / "x.csv")],
             "verify": ["--potentials", str(tmp_path / "pair.json")],
-            "oracle": [],
-        }[command]
+        }.get(command, [])
         with pytest.raises(SystemExit) as exc:
-            main([command, path, *extra, "--seed", "1"])
+            main([command, path, *extra, *flag])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -593,6 +627,36 @@ class TestBlockReportRoundTrip:
         assert main(["analyze", str(report_path), "--samples", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["polytope"]["dimension"] == doc["components"]["count"] == 80
+
+
+class TestSubThresholdDensity:
+    def test_density_below_tau_is_off_support(self, tmp_path, capsys):
+        # the exact optimum has z[0,1] = 1e-8, below tau = 1e-8 * max z, so the
+        # cell is off the support and its slack -1e-8 is feasible up to tau
+        doc = {
+            "schema_version": 1,
+            "mu": [0.50000000125, 0.49999999875],
+            "nu": [0.49999999875, 0.50000000125],
+            "mu_tilde": [0.5, 0.5],
+            "nu_tilde": [0.5, 0.5],
+            "cost": [[0.0, 1.999999985], [3.99999999, 0.0]],
+        }
+        report_path, report = solve_report(tmp_path, doc)
+        assert main(["analyze", str(report_path), "--samples", "5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["components"]["count"] == 2
+        assert out["polytope"]["dimension"] == 2
+        inst = instance_from_dict(report["instance"]).instance
+        f, g = (np.array(report["potentials"][key]) for key in "fg")
+        z = np.array(report["density"]["z"])
+        labels = np.array(out["components"]["labels"])
+        row_label, col_label = labels.max(axis=1), labels.max(axis=0)
+        for alpha in map(np.array, out["sampled_shifts"]):
+            shifted = Potentials(
+                f + inst.epsilon * alpha[row_label], g - inst.epsilon * alpha[col_label]
+            )
+            diff = density_from_potentials(inst, shifted).z - z
+            assert np.max(np.abs(diff)) <= out["support"]["tau"]
 
 
 class TestVerifyCommand:

@@ -58,6 +58,18 @@ class TestValidateInstance:
             inst = validate_instance([0.5, 0.52], [0.5, 0.5], np.zeros((2, 2)))
         np.testing.assert_allclose(inst.mu.sum(), 1.0, atol=1e-15)
 
+    def test_validation_is_idempotent(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n, m = rng.integers(1, 301, 2)
+            mu, mu_tilde = rng.uniform(0.05, 1.0, (2, n))
+            nu, nu_tilde = rng.uniform(0.05, 1.0, (2, m))
+            with pytest.warns(UserWarning, match="renormalizing"):
+                inst = validate_instance(mu, nu, np.zeros((n, m)), mu_tilde, nu_tilde)
+            again = validate_instance(inst.mu, inst.nu, inst.cost, inst.mu_tilde, inst.nu_tilde)
+            for name in ("mu", "nu", "mu_tilde", "nu_tilde"):
+                assert getattr(again, name).tobytes() == getattr(inst, name).tobytes()
+
     def test_references_default_to_marginals(self):
         inst = validate_instance([0.3, 0.7], [0.6, 0.4], np.zeros((2, 2)))
         np.testing.assert_array_equal(inst.mu_tilde, inst.mu)

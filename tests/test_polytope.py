@@ -54,6 +54,9 @@ def brute_polytope(inst, p, decomp, s, tol=1e-9):
             if i != j:
                 a[i, j] = row_block[list(decomp.col_projections[j])].min()
     np.fill_diagonal(a, 0.0)
+    # an off-support cell holds density up to tau, so slacks down to -tau are
+    # floored: the cell is off the support whatever its sign
+    a = np.maximum(a, 0.0)
     dist = a.copy()
     for k in range(count):
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])

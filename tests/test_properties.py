@@ -6,7 +6,9 @@ Costs are ``scale * C`` with ``C`` in [0, 1] (or tied values from {0, 1/2,
 then the same function of ``C`` and ``eps_rel`` at every scale, so the
 absolute residual tolerance means the same at every scale, while the
 potentials and objective values carry the scale. Examples are derandomized,
-so every run checks the same instances.
+so every run checks the same instances. The Dykstra oracle is checked on a
+smaller range (n, m up to 6, eps_rel from 1e-2), where its alternating
+projections converge in well under a second per example.
 """
 
 from unittest import mock
@@ -19,7 +21,9 @@ import qrot.solver
 from qrot import (
     SolverConfig,
     coupling_from_z,
+    density_from_potentials,
     primal_objective,
+    project,
     solve,
     validate_instance,
 )
@@ -28,11 +32,11 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 8))
+def instances(draw, max_size=8, min_eps_exponent=-4.0):
+    n = draw(st.integers(1, max_size))
+    m = draw(st.integers(1, max_size))
     scale = 10.0 ** draw(st.floats(-6.0, 6.0))
-    eps_rel = 10.0 ** draw(st.floats(-4.0, 0.0))
+    eps_rel = 10.0 ** draw(st.floats(min_eps_exponent, 0.0))
     ties = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cost = rng.integers(0, 3, (n, m)) / 2.0 if ties else rng.uniform(0.0, 1.0, (n, m))
@@ -80,3 +84,13 @@ def test_solve_converges_with_weak_duality_and_monotone_dual(inst):
     independent = coupling_from_z(inst, np.outer(inst.mu_ratio, inst.nu_ratio))
     assert report.dual_value <= primal_objective(inst, independent) + bound
     assert abs(report.duality_gap) <= bound
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(instances(max_size=6, min_eps_exponent=-2.0))
+def test_solve_density_matches_projection_oracle(inst):
+    p, report = solve(inst, SolverConfig())
+    assert report.converged
+    z_solve = density_from_potentials(inst, p).z
+    z_project = project(inst).z
+    assert np.max(np.abs(z_solve - z_project)) <= 1e-6 * max(1.0, float(z_solve.max()))
