@@ -164,9 +164,14 @@ def _normalize(p, mode):
     raise ValidationError(f"unknown normalization {mode!r}")
 
 
+def _unclipped_density(inst, f, g):
+    """``(f + g - cost) / eps`` entrywise: the density before clipping at zero."""
+    return (f[:, None] + g[None, :] - inst.cost) / inst.epsilon
+
+
 def _density(inst, p):
     """Density matrix of ``p``, without the copies and checks of a ``CouplingDensity``."""
-    return np.maximum(0.0, (p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon)
+    return np.maximum(0.0, _unclipped_density(inst, p.f, p.g))
 
 
 def _dual_value(inst, p, z):
@@ -175,8 +180,54 @@ def _dual_value(inst, p, z):
     return float(p.f @ inst.mu + p.g @ inst.nu - penalty)
 
 
-def _newton_step(inst, p, z):
+@dataclass(frozen=True)
+class _SupportSystem:
+    """What a Newton step derives from its support pattern ``on = z > 0`` alone.
+
+    ``w`` is the support's weight matrix, ``col_diag`` the regularized column
+    block ``col_deg + lam`` of the Laplacian, ``schur`` the ``n x n`` system
+    left after eliminating ``g``. ``row_label`` and ``col_label`` name each
+    row's and column's support component, and ``lines`` counts the rows and
+    columns of each component.
+    """
+
+    on: np.ndarray
+    w: np.ndarray
+    col_diag: np.ndarray
+    w_scaled: np.ndarray
+    schur: np.ndarray
+    row_label: np.ndarray
+    col_label: np.ndarray
+    lines: np.ndarray
+
+
+def _support_system(inst, on, ref):
+    """The :class:`_SupportSystem` of ``on``, or ``None`` if a row or a column of it is empty."""
+    w = ref * on
+    row_deg, col_deg = w.sum(axis=1), w.sum(axis=0)
+    if not (row_deg.all() and col_deg.all()):
+        return None
+    row_label = _row_roots(on)
+    col_label = row_label[on.argmax(axis=0)]
+    lines = np.bincount(row_label, minlength=inst.n) + np.bincount(col_label, minlength=inst.n)
+    lam = 1e-12 * max(row_deg.max(), col_deg.max())
+    col_diag = col_deg + lam
+    w_scaled = w / col_diag
+    schur = -(w_scaled @ w.T)
+    schur.flat[:: inst.n + 1] += row_deg + lam
+    return _SupportSystem(on, w, col_diag, w_scaled, schur, row_label, col_label, lines)
+
+
+def _newton_step(inst, p, u, z, ref, system):
     """One damped semismooth Newton ascent step from ``p``, or ``None`` if none is taken.
+
+    ``u`` is the unclipped density of ``p`` and ``z = max(u, 0)`` its
+    density, ``ref`` the reference product ``mu_tilde x nu_tilde``, and
+    ``system`` the :class:`_SupportSystem` of the previous call or ``None``.
+    Everything that depends on the support pattern alone is taken from
+    ``system`` when ``z > 0`` is exactly its pattern and built afresh
+    otherwise, so a step on a settled support skips the component labels and
+    the Schur matrix and gives the same bits as one that builds them.
 
     The dual's gradient is ``(-mu_tilde * row_residual, -nu_tilde *
     col_residual)``, and ``-1/eps`` times the weighted Laplacian ``L =
@@ -201,39 +252,37 @@ def _newton_step(inst, p, z):
     precision when the gain falls below the dual value's round-off, as it
     does on the last steps.
 
-    Returns ``None`` when a row or a column of the support is empty or no
-    step length passes, and the caller sweeps instead. Returns ``(q,
-    density of q, dual value at q)`` otherwise.
+    Returns ``(step, system)``, where ``system`` is the support system of
+    ``z``, or ``None`` when a row or a column of the support is empty. The
+    step is ``None`` in that case or when no step length passes, and the
+    caller sweeps instead; otherwise it is ``(q, unclipped density of q,
+    density of q, dual value at q)``.
     """
     on = z > 0
-    w = np.outer(inst.mu_tilde, inst.nu_tilde) * on
-    row_deg, col_deg = w.sum(axis=1), w.sum(axis=0)
-    if not (row_deg.all() and col_deg.all()):
-        return None
+    if system is None or not np.array_equal(system.on, on):
+        system = _support_system(inst, on, ref)
+        if system is None:
+            return None, None
+    w, row_label, col_label = system.w, system.row_label, system.col_label
     grad_f = inst.mu - inst.mu_tilde * (z @ inst.nu_tilde)
     grad_g = inst.nu - inst.nu_tilde * (inst.mu_tilde @ z)
-    row_label = _row_roots(on)
-    col_label = row_label[on.argmax(axis=0)]
     imbalance = np.bincount(row_label, grad_f, inst.n) - np.bincount(col_label, grad_g, inst.n)
-    lines = np.bincount(row_label, minlength=inst.n) + np.bincount(col_label, minlength=inst.n)
-    drift = np.where(np.abs(imbalance) <= IMBALANCE_TOL, imbalance / np.maximum(lines, 1), 0.0)
+    drift = np.where(
+        np.abs(imbalance) <= IMBALANCE_TOL, imbalance / np.maximum(system.lines, 1), 0.0
+    )
 
-    lam = 1e-12 * max(row_deg.max(), col_deg.max())
-    w_scaled = w / (col_deg + lam)
-    schur = -(w_scaled @ w.T)
-    schur.flat[:: inst.n + 1] += row_deg + lam
     rhs_f = inst.epsilon * (grad_f - drift[row_label])
     rhs_g = inst.epsilon * (grad_g + drift[col_label])
-    df = np.linalg.solve(schur, rhs_f - w_scaled @ rhs_g)
-    dg = (rhs_g - w.T @ df) / (col_deg + lam)
+    df = np.linalg.solve(system.schur, rhs_f - system.w_scaled @ rhs_g)
+    dg = (rhs_g - w.T @ df) / system.col_diag
     slope = float(grad_f @ df + grad_g @ dg)
 
-    u = (p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon
+    d = df[:, None] + dg[None, :]
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
-        q = Potentials(f=p.f + t * df, g=p.g + t * dg)
-        u_q = (q.f[:, None] + q.g[None, :] - inst.cost) / inst.epsilon
-        delta = (t / inst.epsilon) * (df[:, None] + dg[None, :])
+        f, g = p.f + t * df, p.g + t * dg
+        u_q = _unclipped_density(inst, f, g)
+        delta = (t / inst.epsilon) * d
         h = np.where(
             u_q > 0,
             np.where(on, delta * delta, u_q * u_q),
@@ -241,10 +290,11 @@ def _newton_step(inst, p, z):
         )
         curvature = 0.5 * inst.epsilon * float(inst.mu_tilde @ h @ inst.nu_tilde)
         if t * (1.0 - ARMIJO) * slope >= curvature:
+            q = Potentials(f=f, g=g)
             z_q = np.maximum(0.0, u_q)
-            return q, z_q, _dual_value(inst, q, z_q)
+            return (q, u_q, z_q, _dual_value(inst, q, z_q)), system
         t *= 0.5
-    return None
+    return None, system
 
 
 def solve(inst, cfg=None, init=None):
@@ -254,17 +304,21 @@ def solve(inst, cfg=None, init=None):
     no Newton step is taken (a line of the support is empty, as at zero
     potentials with a positive cost, or the line search fails); each sweep
     and each Newton step counts as one iteration, against
-    ``cfg.max_sweeps``. The loop stops at the first iterate within
-    ``cfg.tol_residual`` whose predecessor was within it too. The first
-    Newton step to reach the tolerance may be a long one, whose round-off
-    scales with its length and can leave density of order 1e-9 on cells of
-    zero optimal density; the short step that follows is exact to machine
-    precision. Every iteration takes the residual and the dual value from
-    the density of its new iterate; a dual value that decreases raises
-    ``RuntimeError``. The configured normalization shift is applied once
-    after the loop (shifts do not change the density). Non-convergence is
-    reported through ``report.converged = False``, not raised: it says
-    whether the last iterate is within the tolerance.
+    ``cfg.max_sweeps``. Each Newton step hands its support system to the
+    next, which reuses it while the support pattern ``z > 0`` stays exactly
+    the same; the reference product is formed once per call, and each
+    iterate's unclipped density is carried into the next step. The loop
+    stops at the first iterate within ``cfg.tol_residual`` whose
+    predecessor was within it too. The first Newton step to reach the
+    tolerance may be a long one, whose round-off scales with its length
+    and can leave density of order 1e-9 on cells of zero optimal density;
+    the short step that follows is exact to machine precision. Every
+    iteration takes the residual and the dual value from the density of
+    its new iterate; a dual value that decreases raises ``RuntimeError``.
+    The configured normalization shift is applied once after the loop
+    (shifts do not change the density). Non-convergence is reported
+    through ``report.converged = False``, not raised: it says whether the
+    last iterate is within the tolerance.
 
     Parameters
     ----------
@@ -280,19 +334,23 @@ def solve(inst, cfg=None, init=None):
     """
     cfg = cfg or SolverConfig()
     p = init if init is not None else Potentials(np.zeros(inst.n), np.zeros(inst.m))
-    z = _density(inst, p)
+    ref = inst.ref_weights
+    u = _unclipped_density(inst, p.f, p.g)
+    z = np.maximum(0.0, u)
     dual_prev = _dual_value(inst, p, z)
     converged = max_residual(inst, z) <= cfg.tol_residual
 
+    system = None
     iterations = 0
     for iterations in range(1, cfg.max_sweeps + 1):
-        step = _newton_step(inst, p, z)
+        step, system = _newton_step(inst, p, u, z, ref, system)
         if step is None:
             p = sweep(inst, p)
-            z = _density(inst, p)
+            u = _unclipped_density(inst, p.f, p.g)
+            z = np.maximum(0.0, u)
             dual_now = _dual_value(inst, p, z)
         else:
-            p, z, dual_now = step
+            p, u, z, dual_now = step
         if dual_now < dual_prev - 1e-12 * (1.0 + abs(dual_prev)):
             raise RuntimeError(
                 f"dual objective decreased across an iteration: {dual_prev} -> {dual_now}"

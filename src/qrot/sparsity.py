@@ -20,6 +20,7 @@ from .model import (
     coupling_from_z,
     density_from_potentials,
     validate_instance,
+    with_epsilon,
 )
 from .polytope import compute_polytope
 from .solver import SolverConfig, solve
@@ -117,19 +118,25 @@ def epsilon_sweep(grid, epsilons, delta, cfg=None):
 
     For each epsilon, records the support size of the solved coupling and the
     fraction of its mass on cells within (coordinate, Euclidean) distance
-    ``delta`` of some cell of the monotone plan. Successive solves are warm
-    started from the previous rescaled potentials, which converge as epsilon
-    decreases. A non-converged solve is recorded through its report and the
-    sweep continues.
+    ``delta`` of some cell of the monotone plan; ``delta`` must be finite and
+    nonnegative. The grid's instance is validated once, and each epsilon of
+    the schedule is a :func:`with_epsilon` copy of it. Successive solves are
+    warm started from the previous rescaled potentials, which converge as
+    epsilon decreases. A non-converged solve is recorded through its report
+    and the sweep continues.
     """
     eps_list = [float(e) for e in epsilons]
     if any(e <= 0 for e in eps_list) or any(
         b >= a for a, b in zip(eps_list, eps_list[1:])
     ):
         raise ValidationError("epsilons must be strictly decreasing and positive")
+    delta = float(delta)
+    if not (np.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and nonnegative, got {delta!r}")
 
     base = monotone_coupling_1d(grid.xs, grid.mu, grid.ys, grid.nu)
     near = _neighborhood_mask(grid.xs, grid.ys, base.pi > 0, delta)
+    family = grid.instance(1.0)
     cfg = cfg or SolverConfig()
 
     support_sizes = []
@@ -138,7 +145,7 @@ def epsilon_sweep(grid, epsilons, delta, cfg=None):
     reports = []
     warm = None
     for eps in eps_list:
-        inst = grid.instance(eps)
+        inst = with_epsilon(family, eps)
         p, report = solve(inst, cfg, init=warm)
         warm = p
         cd = density_from_potentials(inst, p)
@@ -156,7 +163,7 @@ def epsilon_sweep(grid, epsilons, delta, cfg=None):
         epsilons=tuple(eps_list),
         support_sizes=tuple(support_sizes),
         containment=tuple(containment),
-        delta=float(delta),
+        delta=delta,
         potentials_trace=tuple(trace),
         reports=tuple(reports),
     )
@@ -166,20 +173,30 @@ def _neighborhood_mask(xs, ys, base_mask, delta):
     """Cells within Euclidean distance delta of some base-support cell, in (x, y) coordinates.
 
     Cell ``(i, j)`` is near base cell ``k`` when ``dx[i, k]**2 + dy[j, k]**2 <=
-    delta**2 + 1e-15``. The mask is the OR of one such test per base cell,
-    each on the rows with ``dx**2`` and the columns with ``dy**2`` within the
-    bound: a squared term alone never exceeds the rounded sum, so no near cell
-    lies outside that block, and the memory stays ``O(n m)``.
+    delta**2 + 1e-15``. Base cells of one base row share their ``dx**2``, so
+    the test over a row's cells is one test against ``dmin[j]``, the smallest
+    ``dy**2`` among them: rounded addition ``fl(a + b)`` is nondecreasing in
+    ``b``, so the minimum taken before the addition gives the same outcome as
+    the tests taken one by one, bit for bit. Each base row then ORs its test
+    into the slice of grid rows from the first to the last with ``dx**2``
+    within the bound (rows inside the slice but beyond the bound add nothing,
+    since a squared term alone never exceeds the rounded sum). The memory
+    stays ``O(n m)``, with a loop over base rows and none over base cells.
     """
-    bi, bj = np.nonzero(base_mask)
-    bound = delta**2 + 1e-15
-    dx2 = (xs[:, None] - xs[bi][None, :]) ** 2
-    dy2 = (ys[:, None] - ys[bj][None, :]) ** 2
     near = np.zeros((xs.size, ys.size), dtype=bool)
-    for k in range(bi.size):
-        rows = np.flatnonzero(dx2[:, k] <= bound)
-        cols = np.flatnonzero(dy2[:, k] <= bound)
-        near[np.ix_(rows, cols)] |= dx2[rows, k][:, None] + dy2[cols, k][None, :] <= bound
+    bi, bj = np.nonzero(base_mask)  # row-major: each base row's cells are one run
+    if bi.size == 0:
+        return near
+    rows, starts = np.unique(bi, return_index=True)
+    bound = delta**2 + 1e-15
+    dx2 = (xs[:, None] - xs[rows][None, :]) ** 2
+    dmin = np.minimum.reduceat((ys[:, None] - ys[bj][None, :]) ** 2, starts, axis=1)
+    within = dx2 <= bound
+    first = within.argmax(axis=0)
+    stop = xs.size - within[::-1].argmax(axis=0)
+    for r in np.flatnonzero(within.any(axis=0)):
+        a, b = first[r], stop[r]
+        near[a:b] |= dx2[a:b, r, None] + dmin[None, :, r] <= bound
     return near
 
 

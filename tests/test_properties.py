@@ -1,4 +1,4 @@
-"""Property tests of the solver on generated instances (Hypothesis).
+"""Property tests of the solver and of support components on generated inputs (Hypothesis).
 
 Costs are ``scale * C`` with ``C`` in [0, 1] (or tied values from {0, 1/2,
 1}) and ``scale`` from 1e-6 to 1e6; epsilon is ``scale * eps_rel`` with
@@ -8,7 +8,9 @@ absolute residual tolerance means the same at every scale, while the
 potentials and objective values carry the scale. Examples are derandomized,
 so every run checks the same instances. The Dykstra oracle is checked on a
 smaller range (n, m up to 6, eps_rel from 1e-2), where its alternating
-projections converge in well under a second per example.
+projections converge in well under a second per example. Support components
+are checked against a breadth-first search on random masks up to 40 x 40
+at every density from empty to full.
 """
 
 from unittest import mock
@@ -27,6 +29,7 @@ from qrot import (
     solve,
     validate_instance,
 )
+from test_support import assert_matches_bfs
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -94,3 +97,14 @@ def test_solve_density_matches_projection_oracle(inst):
     z_solve = density_from_potentials(inst, p).z
     z_project = project(inst).z
     assert np.max(np.abs(z_solve - z_project)) <= 1e-6 * max(1.0, float(z_solve.max()))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_components_match_breadth_first_search(n, m, density, seed):
+    assert_matches_bfs(np.random.default_rng(seed).random((n, m)) < density)

@@ -21,6 +21,7 @@ from qrot.model import max_residual
 from qrot.solver import _pw_roots
 from conftest import (
     bisect_root,
+    block_instance,
     random_instance,
     random_symmetric_instance,
     two_point_offdiag,
@@ -270,11 +271,11 @@ def record_newton_steps(monkeypatch):
     calls = []
     step = qrot.solver._newton_step
 
-    def recording(inst, p, z):
-        result = step(inst, p, z)
+    def recording(inst, p, u, z, ref, system):
+        result, system = step(inst, p, u, z, ref, system)
         on = z > 0
         calls.append((result is not None, not on.any(axis=1).all(), not on.any(axis=0).all()))
-        return result
+        return result, system
 
     monkeypatch.setattr(qrot.solver, "_newton_step", recording)
     return calls
@@ -370,10 +371,11 @@ class TestNewtonFinalizer:
     def test_dual_decrease_in_a_newton_step_raises(self, monkeypatch):
         inst = random_instance(np.random.default_rng(10), 4, 4)
 
-        def lowering(inst, p, z):
+        def lowering(inst, p, u, z, ref, system):
             q = Potentials(f=p.f - 1.0, g=p.g - 1.0)
+            uq = qrot.solver._unclipped_density(inst, q.f, q.g)
             zq = qrot.solver._density(inst, q)
-            return q, zq, qrot.solver._dual_value(inst, q, zq)
+            return (q, uq, zq, qrot.solver._dual_value(inst, q, zq)), system
 
         monkeypatch.setattr(qrot.solver, "_newton_step", lowering)
         with pytest.raises(RuntimeError, match="dual objective decreased"):
@@ -388,10 +390,56 @@ class TestNewtonFinalizer:
         while max_residual(inst, z) > 1e-5:
             p = sweep(inst, p)
             z = qrot.solver._density(inst, p)
-        q, zq, dual = qrot.solver._newton_step(inst, p, z)
+        u = qrot.solver._unclipped_density(inst, p.f, p.g)
+        (q, uq, zq, dual), _ = qrot.solver._newton_step(inst, p, u, z, inst.ref_weights, None)
         assert np.array_equal(zq > 0, z > 0)
         assert dual >= qrot.solver._dual_value(inst, p, z)
         assert max_residual(inst, zq) <= 1e-13
+
+
+class TestSupportSystemReuse:
+    """Newton steps on an unchanged support reuse its system and give the same bits."""
+
+    @pytest.mark.parametrize(
+        "make, solver",
+        [
+            (lambda: one_d_instance(np.random.default_rng(2), 60, 1e-3), solve),
+            (lambda: block_instance(np.random.default_rng(0), 40), solve),
+            (lambda: random_symmetric_instance(np.random.default_rng(6), 30, 0.01), solve_symmetric),
+        ],
+        ids=["band", "blocks", "self_transport"],
+    )
+    def test_reuse_changes_no_bit(self, monkeypatch, make, solver):
+        inst = make()
+        counts = {"steps": 0, "roots": 0}
+        step, row_roots = qrot.solver._newton_step, qrot.solver._row_roots
+
+        def counting_step(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        def counting_roots(mask):
+            counts["roots"] += 1
+            return row_roots(mask)
+
+        monkeypatch.setattr(qrot.solver, "_newton_step", counting_step)
+        monkeypatch.setattr(qrot.solver, "_row_roots", counting_roots)
+        p, report = solver(inst)
+        assert report.converged
+        steps, reused_roots = counts["steps"], counts["roots"]
+        assert reused_roots < steps
+
+        # every step builds its system afresh
+        def fresh_step(inst, p, u, z, ref, system):
+            return counting_step(inst, p, u, z, ref, None)
+
+        monkeypatch.setattr(qrot.solver, "_newton_step", fresh_step)
+        counts["roots"] = 0
+        q, fresh = solver(inst)
+        assert counts["roots"] > reused_roots
+        np.testing.assert_array_equal(p.f, q.f)
+        np.testing.assert_array_equal(p.g, q.g)
+        assert report == fresh  # iterations and objective values, exactly
 
 
 class TestSolveSymmetric:

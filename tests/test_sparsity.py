@@ -112,6 +112,11 @@ class TestEpsilonSweep:
         with pytest.raises(ValidationError, match="decreasing"):
             epsilon_sweep(grid, [0.1, 1.0], delta=0.1)
 
+    @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
+    def test_invalid_delta_rejected(self, delta):
+        with pytest.raises(ValidationError, match="delta"):
+            epsilon_sweep(Grid1D.uniform(12), [1.0, 0.1], delta=delta)
+
     def test_non_convergence_recorded_without_aborting(self):
         from qrot import SolverConfig
 
@@ -156,6 +161,43 @@ class TestNeighborhoodMask:
                     assert got[boundary].all()
                     boundary_cells += int(boundary.sum())
         assert boundary_cells > 0
+
+    def test_tied_coordinates(self):
+        rng = np.random.default_rng(2)
+        for n, m in ((9, 6), (40, 55)):
+            xs = np.sort(rng.integers(0, 5, n)) / 4.0
+            ys = np.sort(rng.integers(0, 4, m)) / 3.0
+            for base in (
+                monotone_coupling_1d(xs, np.ones(n) / n, ys, np.ones(m) / m).pi > 0,
+                rng.random((n, m)) < 0.2,
+            ):
+                for delta in (0.0, 0.25, 1.0 / 3.0, 0.5):
+                    expected = broadcast_neighborhood_mask(xs, ys, base, delta)
+                    np.testing.assert_array_equal(_neighborhood_mask(xs, ys, base, delta), expected)
+
+    def test_monotone_base_at_scale(self):
+        rng = np.random.default_rng(3)
+        n, m = 200, 150
+        xs = (np.arange(n) + rng.uniform(0.0, 1.0, n)) / n
+        ys = (np.arange(m) + rng.uniform(0.0, 1.0, m)) / m
+        mu, nu = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+        base = monotone_coupling_1d(xs, mu / mu.sum(), ys, nu / nu.sum()).pi > 0
+        for delta in (0.0, 1e-4, 0.1, 0.5, 2.0):
+            expected = broadcast_neighborhood_mask(xs, ys, base, delta)
+            np.testing.assert_array_equal(_neighborhood_mask(xs, ys, base, delta), expected)
+
+    def test_empty_base_rows(self):
+        rng = np.random.default_rng(4)
+        n, m = 30, 25
+        xs = np.sort(rng.uniform(0.0, 1.0, n))
+        ys = np.sort(rng.uniform(0.0, 1.0, m))
+        base = rng.random((n, m)) < 0.3
+        for empty in (slice(None, None, 2), slice(0, 10), slice(20, None), slice(1, None)):
+            masked = base.copy()
+            masked[empty] = False
+            for delta in (0.0, 0.05, 0.2, 2.0):
+                expected = broadcast_neighborhood_mask(xs, ys, masked, delta)
+                np.testing.assert_array_equal(_neighborhood_mask(xs, ys, masked, delta), expected)
 
 
 class TestZeroCostClosedForm:
