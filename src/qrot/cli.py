@@ -33,19 +33,20 @@ import numpy as np
 from . import io as qio
 from .model import (
     ValidationError,
+    _check_potentials,
     density_from_potentials,
     max_residual,
+    primal_objective,
     with_epsilon,
 )
 from .polytope import compute_polytope, sample_shifts, verify_potentials
 from .projection import project
 from .solver import NORMALIZATIONS, SolverConfig, solve, solve_symmetric
 from .sparsity import Grid1D, epsilon_sweep, sweep_to_csv
-from .support import components, support_set
+from .support import DEFAULT_TAU_REL, components, support_set
 
 __all__ = ["main", "entry"]
 
-DEFAULT_TAU_REL = 1e-8
 DEFAULT_VERIFY_TOL = 1e-8
 DEFAULT_ORACLE_TOL = 1e-6
 
@@ -108,16 +109,8 @@ def _solve(inst, symmetric, cfg):
     return solve(inst, cfg)
 
 
-def _check_dimensions(inst, p):
-    if p.f.size != inst.n or p.g.size != inst.m:
-        raise ValidationError(
-            f"dimension mismatch: potentials have sizes ({p.f.size},"
-            f" {p.g.size}), expected ({inst.n}, {inst.m})"
-        )
-
-
 def _analysis_blocks(inst, p, cd, tau_rel):
-    s = support_set(cd, tau=tau_rel * float(cd.z.max()) if cd.z.size else 0.0)
+    s = support_set(cd, tau=tau_rel * float(cd.z.max()))
     decomp = components(s)
     pd = compute_polytope(inst, p, decomp, s)
     support_block = {"tau": s.tau}
@@ -219,7 +212,7 @@ def cmd_analyze(args):
             )
         loaded, p, tol = qio.report_from_dict(doc)
         inst = loaded.instance
-        _check_dimensions(inst, p)
+        _check_potentials(inst, p)
     else:
         inst, symmetric = _instance(qio.instance_from_dict(doc), args)
         p, _ = _solve(inst, symmetric, _config(args))
@@ -274,7 +267,7 @@ def cmd_verify(args):
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {args.potentials}: {exc}") from None
     candidate = qio.potentials_from_dict(pot, f"potentials file {args.potentials}")
-    _check_dimensions(inst, candidate)
+    _check_potentials(inst, candidate)
     p, report = _solve(inst, symmetric, _config(args))
     z_star = density_from_potentials(inst, p)
     accepted = verify_potentials(inst, candidate, z_star, tol=args.tol_verify)
@@ -292,8 +285,6 @@ def cmd_oracle(args):
     cd_dual = density_from_potentials(inst, p)
     cd_proj = project(inst)
     diff = float(np.max(np.abs(cd_dual.z - cd_proj.z)))
-    from .model import primal_objective
-
     out = {
         "max_density_diff": diff,
         "primal_dual_route": report.primal_value,

@@ -229,6 +229,53 @@ def coupling_from_z(inst, z):
     return CouplingDensity(z=z, pi=z * inst.ref_weights)
 
 
+def _check_potentials(inst, p):
+    """Raise a ValidationError unless ``p`` has one entry per row and per column."""
+    if p.f.size != inst.n or p.g.size != inst.m:
+        raise ValidationError(
+            f"dimension mismatch: potentials have sizes ({p.f.size}, {p.g.size}),"
+            f" expected ({inst.n}, {inst.m})"
+        )
+
+
+def _unclipped_density(inst, f, g):
+    """``(f + g - cost) / eps`` entrywise: the density before clipping at zero.
+
+    The solver, the objectives, the support and the polytope's slacks (its
+    negation) all read this one expression, so they agree to the last bit.
+    """
+    return (f[:, None] + g[None, :] - inst.cost) / inst.epsilon
+
+
+def _density(inst, p):
+    """Density matrix of ``p``, without the copies and checks of a ``CouplingDensity``."""
+    return np.maximum(0.0, _unclipped_density(inst, p.f, p.g))
+
+
+def _residuals(inst, z):
+    """Row and column residuals of the density matrix ``z``, see :func:`marginal_residuals`."""
+    return z @ inst.nu_tilde - inst.mu_ratio, inst.mu_tilde @ z - inst.nu_ratio
+
+
+def _primal_value(inst, z):
+    """:func:`primal_objective` of the density matrix ``z``, as two matvecs."""
+    return float(inst.mu_tilde @ (((inst.cost + 0.5 * inst.epsilon * z) * z) @ inst.nu_tilde))
+
+
+def _dual_value(inst, p, z):
+    """:func:`dual_objective` at ``p`` from its density ``z``; the penalty takes two matvecs."""
+    penalty = 0.5 * inst.epsilon * float(inst.mu_tilde @ ((z * z) @ inst.nu_tilde))
+    return float(p.f @ inst.mu + p.g @ inst.nu - penalty)
+
+
+def _report(inst, p, z, z_p, iterations, converged):
+    """:class:`SolveReport` of the density matrix ``z`` and of ``p``, whose density is ``z_p``."""
+    primal = _primal_value(inst, z)
+    dual = _dual_value(inst, p, z_p)
+    residual = max_residual(inst, z)
+    return SolveReport(primal, dual, primal - dual, residual, int(iterations), bool(converged))
+
+
 def density_from_potentials(inst, p):
     """Density induced by potentials: ``max(0, (f + g - cost) / epsilon)`` entrywise.
 
@@ -236,13 +283,8 @@ def density_from_potentials(inst, p):
     :func:`marginal_residuals` to test whether ``(f, g)`` actually are
     potentials of the instance.
     """
-    if p.f.size != inst.n or p.g.size != inst.m:
-        raise ValidationError(
-            f"dimension mismatch: potentials have sizes ({p.f.size}, {p.g.size}),"
-            f" expected ({inst.n}, {inst.m})"
-        )
-    z = np.maximum(0.0, (p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon)
-    return coupling_from_z(inst, z)
+    _check_potentials(inst, p)
+    return coupling_from_z(inst, _density(inst, p))
 
 
 def marginal_residuals(inst, cd):
@@ -252,22 +294,18 @@ def marginal_residuals(inst, cd):
     mu[i] / mu_tilde[i]`` and ``col`` is the column analog. Both vanish
     exactly when ``z`` is the density of a coupling of ``(mu, nu)``.
     """
-    row = cd.z @ inst.nu_tilde - inst.mu_ratio
-    col = inst.mu_tilde @ cd.z - inst.nu_ratio
-    return row, col
+    return _residuals(inst, cd.z)
 
 
 def max_residual(inst, z):
     """Worst absolute entry of :func:`marginal_residuals`, from the density matrix ``z``."""
-    row = z @ inst.nu_tilde - inst.mu_ratio
-    col = inst.mu_tilde @ z - inst.nu_ratio
+    row, col = _residuals(inst, z)
     return max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
 
 
 def primal_objective(inst, cd):
     """Transport cost plus the quadratic penalty, ``sum(c * pi) + eps/2 * ||z||^2``."""
-    quad = np.sum(cd.z * cd.z * inst.ref_weights)
-    return float(np.sum(inst.cost * cd.pi) + 0.5 * inst.epsilon * quad)
+    return _primal_value(inst, cd.z)
 
 
 def dual_objective(inst, p):
@@ -276,9 +314,7 @@ def dual_objective(inst, p):
     Computes ``sum_i f[i] mu[i] + sum_j g[j] nu[j]
     - eps/2 * sum_ij ((f[i]+g[j]-c[i,j])/eps)_+^2 * mu_tilde[i] nu_tilde[j]``.
     """
-    z = np.maximum(0.0, (p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon)
-    penalty = 0.5 * inst.epsilon * np.sum(z * z * inst.ref_weights)
-    return float(p.f @ inst.mu + p.g @ inst.nu - penalty)
+    return _dual_value(inst, p, _density(inst, p))
 
 
 def duality_gap(inst, p, cd, iterations=0, converged=False):
@@ -287,16 +323,7 @@ def duality_gap(inst, p, cd, iterations=0, converged=False):
     The gap is zero exactly when ``cd`` is feasible and equals the density
     induced by ``p``; for feasible ``cd`` it is nonnegative up to round-off.
     """
-    primal = primal_objective(inst, cd)
-    dual = dual_objective(inst, p)
-    return SolveReport(
-        primal_value=primal,
-        dual_value=dual,
-        duality_gap=primal - dual,
-        marginal_residual=max_residual(inst, cd.z),
-        iterations=int(iterations),
-        converged=bool(converged),
-    )
+    return _report(inst, p, cd.z, _density(inst, p), iterations, converged)
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,19 @@ Fixing one potential pair, every other pair arises by adding a constant
 ``alpha[k]`` to ``f`` on the rows of component ``k`` and subtracting it from
 ``g`` on the columns. The admissible vectors form the difference-constraint
 polytope ``T = {alpha : alpha[i] - alpha[j] <= a[i, j]}`` where ``a[i, j]``
-is the smallest slack ``(cost - f - g) / epsilon`` over the off-support cells
-of the block ``rows(C_i) x cols(C_j)``. Potentials are divided by epsilon
-before taking slacks so that the constraints live at the unit-regularization
-normalization; :func:`apply_shifts` multiplies by epsilon when shifting the
-stored rescaled potentials.
+is the smallest slack ``-u`` over the off-support cells of the block
+``rows(C_i) x cols(C_j)``, and ``u = (f + g - cost) / epsilon`` is the
+unclipped density, the expression the density and its support come from.
+The slacks live at the unit-regularization normalization; :func:`apply_shifts`
+multiplies by epsilon when shifting the stored rescaled potentials.
 
 Every row and column meeting the support carries one component label, so
-``a`` is a label reduction of the slack matrix: rows and columns are sorted
-by label and ``np.minimum.reduceat`` takes the block minima in O(nm), first
-over rows, then over columns; unmatched rows and columns are left out.
-Support cells need no masking, since each lies in a diagonal block, and
-diagonal entries are zero by definition. An off-support cell may carry
-density up to the support threshold ``tau``, so its slack may be as low as
+``a`` is a label reduction of ``u``: rows and columns are sorted by label,
+``np.maximum.reduceat`` takes the block maxima of ``u`` in O(nm), first over
+rows, then over columns, and ``a`` is their negation; unmatched rows and
+columns are left out. Support cells need no masking, since each lies in a
+diagonal block, and diagonal entries are zero by definition. An off-support
+cell has ``u <= tau``, the support threshold, so its slack is at least
 ``-tau``; such slacks are floored at zero, which keeps ``alpha = 0`` feasible.
 
 Difference-constraint systems are canonical shortest-path objects: the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Potentials, ValidationError, density_from_potentials
+from .model import Potentials, ValidationError, _check_potentials, _density, _unclipped_density
 from .support import SupportSet, _label_runs, components
 
 __all__ = [
@@ -58,8 +58,9 @@ class PotentialConsistencyError(RuntimeError):
 class PolytopeDescription:
     """Constraint matrix ``a``, its shortest-path closure and rigidity data.
 
-    ``a[i, j]`` is ``+inf`` when the block has no off-support cell (the
-    constraint is absent); ``a[i, i] = 0``. ``dist[i, j]`` is the tightest
+    ``a[i, j]`` is the smallest slack ``-u`` (the negated unclipped density)
+    over the off-support cells of block ``(i, j)``, floored at 0, or ``+inf``
+    when there is none; ``a[i, i] = 0``. ``dist[i, j]`` is the tightest
     implied upper bound on ``alpha[i] - alpha[j]``. ``dimension`` counts the
     rigidity classes; it equals the number of components when no pair is
     forced equal and is always at least one.
@@ -99,18 +100,20 @@ def compute_polytope(inst, p, decomp, s):
         Converged potentials of the instance (duality gap at solver tolerance).
     decomp : ComponentDecomposition
     s : SupportSet
-        Both derived from the density of the same solve; the labels of
-        ``decomp`` carry the support, and ``s.tau`` is the feasibility
-        tolerance. An off-support cell has density at most ``s.tau``, so its
-        slack is at least ``-s.tau``; slacks in ``[-s.tau, 0)`` are floored
-        at 0, since the cell is off the support and ``alpha = 0`` stays
-        feasible. Rigidity is decided to ``RIGID_TOL``.
+        Both derived from the density of ``p``: the labels of ``decomp``
+        carry the support, and ``s.tau`` is the feasibility tolerance.
+
+    ``a[i, j]`` is minus the largest unclipped density ``u = (f + g - cost) /
+    epsilon`` of ``p`` over the block ``rows(C_i) x cols(C_j)``, whose cells
+    are all off the support. Such a cell has ``u <= s.tau``, so slacks in
+    ``[-s.tau, 0)`` are floored at 0 and ``alpha = 0`` stays feasible.
+    Rigidity is decided to ``RIGID_TOL``.
 
     Raises
     ------
     PotentialConsistencyError
-        If some slack is below ``-max(RIGID_TOL, s.tau)``, which means the
-        potentials and the support mask do not belong to the same solve.
+        If some slack is below ``-max(RIGID_TOL, s.tau)``, which can happen
+        only when the potentials and the support come from different densities.
     """
     count = decomp.count
     row_label, col_label = _axis_labels(decomp)
@@ -118,12 +121,8 @@ def compute_polytope(inst, p, decomp, s):
     cols, col_starts = _label_runs(col_label, count)
     # a support cell joins its row and column into one component, so every
     # support cell lies in a diagonal block, which fill_diagonal overwrites
-    gap = inst.cost[rows]
-    gap -= p.f[rows, None]
-    gap -= p.g[None, :]
-    a = np.minimum.reduceat(gap, row_starts, axis=0)[:, cols]
-    # dividing by epsilon > 0 is monotone, so it commutes exactly with the minimum
-    a = np.minimum.reduceat(a, col_starts, axis=1) / inst.epsilon
+    u = np.maximum.reduceat(_unclipped_density(inst, p.f, p.g)[rows], row_starts, axis=0)
+    a = -np.maximum.reduceat(u[:, cols], col_starts, axis=1)
     np.fill_diagonal(a, 0.0)
 
     tol = max(RIGID_TOL, s.tau)
@@ -227,8 +226,8 @@ def verify_potentials(inst, p, z_star, tol=1e-8):
     Matching the (unique) optimal density is equivalent to being potentials,
     so this is a complete membership test for the family.
     """
-    cd = density_from_potentials(inst, p)
-    return bool(np.max(np.abs(cd.z - z_star.z)) <= tol)
+    _check_potentials(inst, p)
+    return bool(np.max(np.abs(_density(inst, p) - z_star.z)) <= tol)
 
 
 def mirror_pairing(decomp):

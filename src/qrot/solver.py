@@ -35,8 +35,10 @@ import numpy as np
 from .model import (
     Potentials,
     ValidationError,
-    density_from_potentials,
-    duality_gap,
+    _density,
+    _dual_value,
+    _report,
+    _unclipped_density,
     max_residual,
     shift_potentials,
 )
@@ -71,8 +73,8 @@ class SolverConfig:
     normalization: str = "anchor_first_component_zero"
 
     def __post_init__(self):
-        if not self.tol_residual > 0:
-            raise ValidationError("tol_residual must be positive")
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ValidationError("tol_residual must be finite and positive")
         if self.max_sweeps < 1:
             raise ValidationError("max_sweeps must be at least 1")
         if self.normalization not in NORMALIZATIONS:
@@ -155,29 +157,11 @@ def sweep(inst, p):
 
 
 def _normalize(p, mode):
-    if mode == "none":
-        return p
     if mode == "anchor_first_component_zero":
         return shift_potentials(p, -p.f[0])
     if mode == "mean_zero_f":
         return shift_potentials(p, -float(np.mean(p.f)))
-    raise ValidationError(f"unknown normalization {mode!r}")
-
-
-def _unclipped_density(inst, f, g):
-    """``(f + g - cost) / eps`` entrywise: the density before clipping at zero."""
-    return (f[:, None] + g[None, :] - inst.cost) / inst.epsilon
-
-
-def _density(inst, p):
-    """Density matrix of ``p``, without the copies and checks of a ``CouplingDensity``."""
-    return np.maximum(0.0, _unclipped_density(inst, p.f, p.g))
-
-
-def _dual_value(inst, p, z):
-    """:func:`dual_objective` at ``p`` from its density ``z``; the penalty takes two matvecs."""
-    penalty = 0.5 * inst.epsilon * float(inst.mu_tilde @ ((z * z) @ inst.nu_tilde))
-    return float(p.f @ inst.mu + p.g @ inst.nu - penalty)
+    return p
 
 
 @dataclass(frozen=True)
@@ -315,10 +299,11 @@ def solve(inst, cfg=None, init=None):
     the short step that follows is exact to machine precision. Every
     iteration takes the residual and the dual value from the density of
     its new iterate; a dual value that decreases raises ``RuntimeError``.
-    The configured normalization shift is applied once after the loop
-    (shifts do not change the density). Non-convergence is reported
-    through ``report.converged = False``, not raised: it says whether the
-    last iterate is within the tolerance.
+    The configured normalization shift is applied once after the loop, and
+    the report is taken from the one density of the shifted potentials
+    returned. Non-convergence is reported through ``report.converged =
+    False``, not raised: it says whether the last iterate is within the
+    tolerance.
 
     Parameters
     ----------
@@ -361,10 +346,8 @@ def solve(inst, cfg=None, init=None):
             break
 
     p = _normalize(p, cfg.normalization)
-    report = duality_gap(
-        inst, p, density_from_potentials(inst, p), iterations=iterations, converged=converged
-    )
-    return p, report
+    z = _density(inst, p)
+    return p, _report(inst, p, z, z, iterations, converged)
 
 
 def _check_self_transport(inst):
@@ -398,9 +381,6 @@ def solve_symmetric(inst, cfg=None, init=None):
         sweeps += report.iterations
         f = 0.5 * (q.f + q.g)
         p = Potentials(f=f, g=f, symmetric=True)
-        converged = max_residual(inst, _density(inst, p)) <= cfg.tol_residual
-
-    report = duality_gap(
-        inst, p, density_from_potentials(inst, p), iterations=sweeps, converged=converged
-    )
-    return p, report
+        z = _density(inst, p)
+        converged = max_residual(inst, z) <= cfg.tol_residual
+    return p, _report(inst, p, z, z, sweeps, converged)

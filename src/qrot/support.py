@@ -17,6 +17,8 @@ from .model import ValidationError
 
 __all__ = ["SupportSet", "ComponentDecomposition", "support_set", "components", "partition_check"]
 
+DEFAULT_TAU_REL = 1e-8  # default support threshold, relative to the largest density entry
+
 
 @dataclass(frozen=True)
 class SupportSet:
@@ -27,16 +29,16 @@ class SupportSet:
 def support_set(cd, tau=None):
     """Boolean support mask ``z > tau``.
 
-    The default threshold is relative, ``tau = 1e-8 * max(z)``: density
-    entries scale like ``1 / epsilon``, so an absolute threshold would
-    misclassify at small epsilon. A warning is raised when any entry sits
-    within ten machine epsilons of the threshold, since the component count
-    can flip on such versions of the density.
+    The default threshold is relative, ``tau = DEFAULT_TAU_REL * max(z)``:
+    density entries scale like ``1 / epsilon``, so an absolute threshold
+    would misclassify at small epsilon. A warning is raised when any entry
+    sits within ten machine epsilons of the threshold, since the component
+    count can flip on such versions of the density.
     """
     z = cd.z
     zmax = float(z.max()) if z.size else 0.0
     if tau is None:
-        tau = 1e-8 * zmax
+        tau = DEFAULT_TAU_REL * zmax
     tau = float(tau)
     if tau < 0:
         raise ValidationError("support threshold must be nonnegative")

@@ -93,6 +93,19 @@ def random_symmetric_instance(rng, n=5, eps=1.0, equal_refs=False):
     return validate_instance(mu, mu, cost, mu_tilde=mu_tilde, nu_tilde=mu_tilde, epsilon=eps)
 
 
+def tiny_eps_symmetric_instance():
+    """Symmetric uniform-weight 4 x 4 instance at eps = 1e-12.
+
+    The density ``(f + g - cost) / eps`` amplifies the rounding of ``f + g -
+    cost`` by 1e12; after 300 iterations of ``solve_symmetric`` a slack that
+    was rounded apart from the density read -1.4e-5 on an off-support cell.
+    """
+    rng = np.random.default_rng(25)
+    cost = rng.uniform(0.0, 1.0, (4, 4))
+    weights = np.full(4, 0.25)
+    return validate_instance(weights, weights, (cost + cost.T) / 2, epsilon=1e-12)
+
+
 def block_instance(rng, k, rows=2, cols=2, spread=0.3):
     """``k`` diagonal blocks of ``rows x cols`` cells, one support component each.
 
@@ -226,6 +239,38 @@ def brute_components(mask):
             if merged:
                 break
     return {frozenset(g) for g in groups}
+
+
+def brute_polytope(inst, p, decomp, s, tol=1e-9):
+    """``a``, ``dist``, rigid pairs and dimension, one component block at a time."""
+    count = decomp.count
+    slack = -((p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon)
+    off_slack = np.where(s.mask, np.inf, slack)  # a block with no off-support cell gives inf
+    a = np.full((count, count), np.inf)
+    for i in range(count):
+        # slack minima of component i's rows, one per column
+        row_block = off_slack[list(decomp.row_projections[i])].min(axis=0)
+        for j in range(count):
+            if i != j:
+                a[i, j] = row_block[list(decomp.col_projections[j])].min()
+    np.fill_diagonal(a, 0.0)
+    # an off-support cell holds density up to tau, so slacks down to -tau are
+    # floored: the cell is off the support whatever its sign
+    a = np.maximum(a, 0.0)
+    dist = a.copy()
+    for k in range(count):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    rigid = tuple(
+        (i, j)
+        for i in range(count)
+        for j in range(i + 1, count)
+        if dist[i, j] + dist[j, i] <= tol
+    )
+    cls = list(range(count))
+    for i, j in rigid:
+        old, new = cls[i], cls[j]
+        cls = [new if c == old else c for c in cls]
+    return a, dist, rigid, len(set(cls))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from qrot.io import (
 )
 from qrot import PotentialConsistencyError, Potentials, ValidationError, density_from_potentials
 from qrot.projection import project
-from conftest import block_instance, random_symmetric_instance, schema1_report
+from conftest import (
+    block_instance,
+    random_symmetric_instance,
+    schema1_report,
+    tiny_eps_symmetric_instance,
+)
 
 
 def write_json(path, doc):
@@ -491,6 +496,26 @@ class TestNumericFlags:
         )
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["solve", "analyze", "sweep", "verify", "oracle"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-10"])
+    def test_bad_tol_exit_one_before_solving(self, tmp_path, capsys, monkeypatch, command, value):
+        path = write_json(tmp_path / "grid.json", quadratic_doc(2))
+        pot_path = write_json(tmp_path / "pot.json", {"f": [0.0, 0.0], "g": [0.0, 0.0]})
+        calls = []
+        for name in ("solve", "solve_symmetric", "epsilon_sweep"):
+            monkeypatch.setattr(qrot.cli, name, lambda *args: calls.append(args))
+        extra = {
+            "sweep": ["--eps-list", "1,0.1", "--delta", "0.2", "--out", str(tmp_path / "x.csv")],
+            "verify": ["--potentials", pot_path],
+        }.get(command, [])
+        rc = main([command, path, *extra, f"--tol={value}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: tol_residual must be finite and positive\n"
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_tau_rel_accepted(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         # the zero densities sit on a zero threshold, which support_set flags
@@ -657,6 +682,21 @@ class TestSubThresholdDensity:
             )
             diff = density_from_potentials(inst, shifted).z - z
             assert np.max(np.abs(diff)) <= out["support"]["tau"]
+
+
+class TestOwnSupport:
+    def test_unconverged_tiny_epsilon_solve_writes_report(self, tmp_path, capsys):
+        # the polytope's slack is the negated density of the reported
+        # potentials, so an unconverged solve still gets a consistent report
+        inst = tiny_eps_symmetric_instance()
+        path = write_json(tmp_path / "inst.json", instance_to_dict(inst, symmetric=True))
+        out = tmp_path / "report.json"
+        rc = main(["solve", path, "--eps", "1e-12", "--max-sweeps", "300", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc["report"]["converged"] is False
+        assert doc["report"]["iterations"] == 300
 
 
 class TestVerifyCommand:

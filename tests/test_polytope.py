@@ -6,6 +6,7 @@ from qrot import (
     PolytopeDescription,
     Potentials,
     PotentialConsistencyError,
+    SolverConfig,
     SupportSet,
     ValidationError,
     apply_shifts,
@@ -24,8 +25,10 @@ from qrot import (
 from qrot.solver import _pw_roots
 from conftest import (
     block_instance,
+    brute_polytope,
     offdiag_family,
     random_instance,
+    tiny_eps_symmetric_instance,
     two_point_offdiag,
     two_point_ondiag,
 )
@@ -39,38 +42,6 @@ def analyze(inst, symmetric=False):
     d = components(s)
     pd = compute_polytope(inst, p, d, s)
     return p, cd, s, d, pd
-
-
-def brute_polytope(inst, p, decomp, s, tol=1e-9):
-    """``a``, ``dist``, rigid pairs and dimension, one component block at a time."""
-    count = decomp.count
-    slack = (inst.cost - p.f[:, None] - p.g[None, :]) / inst.epsilon
-    off_slack = np.where(s.mask, np.inf, slack)  # a block with no off-support cell gives inf
-    a = np.full((count, count), np.inf)
-    for i in range(count):
-        # slack minima of component i's rows, one per column
-        row_block = off_slack[list(decomp.row_projections[i])].min(axis=0)
-        for j in range(count):
-            if i != j:
-                a[i, j] = row_block[list(decomp.col_projections[j])].min()
-    np.fill_diagonal(a, 0.0)
-    # an off-support cell holds density up to tau, so slacks down to -tau are
-    # floored: the cell is off the support whatever its sign
-    a = np.maximum(a, 0.0)
-    dist = a.copy()
-    for k in range(count):
-        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
-    rigid = tuple(
-        (i, j)
-        for i in range(count)
-        for j in range(i + 1, count)
-        if dist[i, j] + dist[j, i] <= tol
-    )
-    cls = list(range(count))
-    for i, j in rigid:
-        old, new = cls[i], cls[j]
-        cls = [new if c == old else c for c in cls]
-    return a, dist, rigid, len(set(cls))
 
 
 def grouped_rigid_instance(n=40, group=3):
@@ -163,13 +134,27 @@ class TestPolytopeOracle:
         )
         p = Potentials(f=rng.uniform(0.0, 0.5, 4), g=rng.uniform(0.0, 0.5, 4))
         pd = assert_matches_brute(inst, p, d, s)
-        slack = (inst.cost - p.f[:, None] - p.g[None, :]) / inst.epsilon
+        slack = -((p.f[:, None] + p.g[None, :] - inst.cost) / inst.epsilon)
         assert pd.a[0, 1] == slack[:2, 1:3].min()
         assert pd.a[1, 0] == slack[2, 0]
         # the unmatched row and column keep their values under a shift
         q = apply_shifts(p, d, np.array([0.0, 0.5]), inst.epsilon, pd)
         np.testing.assert_array_equal(q.f, p.f + inst.epsilon * np.array([0.0, 0.0, 0.5, 0.0]))
         np.testing.assert_array_equal(q.g, p.g - inst.epsilon * np.array([0.0, 0.5, 0.5, 0.0]))
+
+
+class TestOwnSupport:
+    def test_unconverged_symmetric_solve_at_tiny_epsilon(self):
+        # the slack is the negated density of p, so an off-support cell of the
+        # solve's own support never falls below -tau, converged or not
+        inst = tiny_eps_symmetric_instance()
+        p, report = solve_symmetric(inst, SolverConfig(max_sweeps=300))
+        assert not report.converged
+        s = support_set(density_from_potentials(inst, p))
+        d = components(s)
+        pd = compute_polytope(inst, p, d, s)
+        assert np.all(pd.a >= 0)
+        assert_matches_brute(inst, p, d, s)
 
 
 class TestComputePolytope:

@@ -10,7 +10,11 @@ so every run checks the same instances. The Dykstra oracle is checked on a
 smaller range (n, m up to 6, eps_rel from 1e-2), where its alternating
 projections converge in well under a second per example. Support components
 are checked against a breadth-first search on random masks up to 40 x 40
-at every density from empty to full.
+at every density from empty to full. The polytope of potentials is checked
+against the per-block oracle on the solver's own support after a small
+iteration budget, converged or not, including symmetric uniform-weight
+instances down to eps_rel = 1e-14, where the density amplifies the rounding
+of ``f + g - cost`` by up to 1e14.
 """
 
 from unittest import mock
@@ -22,13 +26,18 @@ from hypothesis import strategies as st
 import qrot.solver
 from qrot import (
     SolverConfig,
+    components,
+    compute_polytope,
     coupling_from_z,
     density_from_potentials,
     primal_objective,
     project,
     solve,
+    solve_symmetric,
+    support_set,
     validate_instance,
 )
+from conftest import brute_polytope, tiny_eps_symmetric_instance
 from test_support import assert_matches_bfs
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -108,3 +117,38 @@ def test_solve_density_matches_projection_oracle(inst):
 )
 def test_components_match_breadth_first_search(n, m, density, seed):
     assert_matches_bfs(np.random.default_rng(seed).random((n, m)) < density)
+
+
+@st.composite
+def symmetric_uniform_instances(draw):
+    n = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    eps_rel = 10.0 ** draw(st.floats(-14.0, 0.0))
+    ties = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost = rng.integers(0, 3, (n, n)) / 2.0 if ties else rng.uniform(0.0, 1.0, (n, n))
+    weights = np.full(n, 1.0 / n)
+    return validate_instance(weights, weights, scale * (cost + cost.T) / 2, epsilon=scale * eps_rel)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.tuples(instances(min_eps_exponent=-6.0), st.just(False)),
+        st.tuples(symmetric_uniform_instances(), st.just(True)),
+    ),
+    st.integers(1, 30),
+)
+@example((tiny_eps_symmetric_instance(), True), 300)
+def test_polytope_matches_per_block_oracle(case, budget):
+    inst, symmetric = case
+    p, _ = (solve_symmetric if symmetric else solve)(inst, SolverConfig(max_sweeps=budget))
+    s = support_set(density_from_potentials(inst, p))
+    d = components(s)
+    # the slack is the negated density of p, so the solve's own support is consistent
+    pd = compute_polytope(inst, p, d, s)
+    assert np.all(pd.a[~np.eye(d.count, dtype=bool)] >= 0)
+    a, _, rigid, dimension = brute_polytope(inst, p, d, s)
+    np.testing.assert_array_equal(pd.a, a)
+    assert pd.rigid_pairs == rigid
+    assert pd.dimension == dimension

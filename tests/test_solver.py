@@ -520,3 +520,8 @@ class TestSolverConfig:
             SolverConfig(max_sweeps=0)
         with pytest.raises(ValidationError):
             SolverConfig(normalization="bogus")
+
+    @pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValidationError, match="tol_residual must be finite and positive"):
+            SolverConfig(tol_residual=tol)
