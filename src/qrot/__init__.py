@@ -1,19 +1,17 @@
 """Quadratically regularized optimal transport on finite discrete marginals.
 
-Computes the optimal coupling density and dual potentials by exact cyclic
-coordinate ascent, cross-checks them against an independent projection
-solver, decomposes the optimal support into components, describes the full
-polytope of potential shifts, and runs vanishing-regularization sparsity
-experiments.
+Computes the optimal coupling density and dual potentials by semismooth
+Newton steps on the dual, with exact cyclic coordinate sweeps as fallback,
+cross-checks them against an independent projection solver, decomposes the
+optimal support into components, describes the full polytope of potential
+shifts, and runs vanishing-regularization sparsity experiments.
 """
 
 from .model import (
-    CouplingDensity,
     Instance,
     Potentials,
     SolveReport,
     ValidationError,
-    coupling_from_z,
     density_from_potentials,
     dual_objective,
     duality_gap,
@@ -35,14 +33,7 @@ from .polytope import (
     verify_potentials,
 )
 from .projection import DykstraState, ProjectionError, project, project_point
-from .solver import (
-    RowEquation,
-    SolverConfig,
-    solve,
-    solve_row_equation,
-    solve_symmetric,
-    sweep,
-)
+from .solver import SolverConfig, solve, solve_symmetric, sweep
 from .sparsity import (
     ContinuousSpec,
     Grid1D,

@@ -71,6 +71,16 @@ def _check_nonnegative(value, flag):
         raise ValidationError(f"{flag} must be finite and nonnegative, got {value!r}")
 
 
+def _check_tau_rel(value):
+    """Raise a ValidationError unless ``--tau-rel`` is in [0, 1).
+
+    The support threshold is ``tau_rel * max(z)``, so from 1 on no cell is
+    above it and the report would have no support and no component.
+    """
+    if not 0 <= value < 1:
+        raise ValidationError(f"--tau-rel must be in [0, 1), got {value!r}")
+
+
 def _eps_list(text):
     eps_list = []
     for tok in text.split(","):
@@ -109,8 +119,8 @@ def _solve(inst, symmetric, cfg):
     return solve(inst, cfg)
 
 
-def _analysis_blocks(inst, p, cd, tau_rel):
-    s = support_set(cd, tau=tau_rel * float(cd.z.max()))
+def _analysis_blocks(inst, p, z, tau_rel):
+    s = support_set(z, tau=tau_rel * float(z.max()))
     decomp = components(s)
     pd = compute_polytope(inst, p, decomp, s)
     support_block = {"tau": s.tau}
@@ -133,9 +143,9 @@ def _analysis_blocks(inst, p, cd, tau_rel):
 
 
 def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel):
-    cd = density_from_potentials(inst, p)
+    z = density_from_potentials(inst, p)
     support_block, components_block, polytope_block, _, _ = _analysis_blocks(
-        inst, p, cd, tau_rel
+        inst, p, z, tau_rel
     )
     return {
         "schema_version": qio.REPORT_SCHEMA_VERSION,
@@ -153,7 +163,7 @@ def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel):
             "g": p.g.tolist(),
             "symmetric": p.symmetric,
         },
-        "density": {"z": cd.z.tolist()},
+        "density": {"z": z.tolist()},
         "support": support_block,
         "components": components_block,
         "polytope": polytope_block,
@@ -175,7 +185,7 @@ def _emit(text, out_path):
 
 
 def cmd_solve(args):
-    _check_nonnegative(args.tau_rel, "--tau-rel")
+    _check_tau_rel(args.tau_rel)
     loaded = qio.load_instance(args.input)
     inst, symmetric = _instance(loaded, args)
     cfg = _config(args)
@@ -187,7 +197,7 @@ def cmd_solve(args):
 
 def cmd_analyze(args):
     seed = _seed(args)
-    _check_nonnegative(args.tau_rel, "--tau-rel")
+    _check_tau_rel(args.tau_rel)
     if args.samples < 0:
         raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
     with open(args.input) as fh:
@@ -217,11 +227,11 @@ def cmd_analyze(args):
         inst, symmetric = _instance(qio.instance_from_dict(doc), args)
         p, _ = _solve(inst, symmetric, _config(args))
 
-    cd = density_from_potentials(inst, p)
+    z = density_from_potentials(inst, p)
     if from_report:
         if tol is None:
             tol = SolverConfig().tol_residual
-        residual = max_residual(inst, cd.z)
+        residual = max_residual(inst, z)
         if not residual <= tol:
             sys.stderr.write(
                 f"error: stored potentials have marginal residual {residual:.3e},"
@@ -229,7 +239,7 @@ def cmd_analyze(args):
             )
             return 2
     support_block, components_block, polytope_block, decomp, pd = _analysis_blocks(
-        inst, p, cd, args.tau_rel
+        inst, p, z, args.tau_rel
     )
     out = {
         "support": support_block,
@@ -282,14 +292,13 @@ def cmd_oracle(args):
     inst, symmetric = _instance(qio.load_instance(args.input), args)
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
-    cd_dual = density_from_potentials(inst, p)
-    cd_proj = project(inst)
-    diff = float(np.max(np.abs(cd_dual.z - cd_proj.z)))
+    z_proj = project(inst)
+    diff = float(np.max(np.abs(density_from_potentials(inst, p) - z_proj)))
     out = {
         "max_density_diff": diff,
         "primal_dual_route": report.primal_value,
         "dual_value": report.dual_value,
-        "primal_projection_route": primal_objective(inst, cd_proj),
+        "primal_projection_route": primal_objective(inst, z_proj),
         "duality_gap": report.duality_gap,
         "tolerance": args.tol_oracle,
     }

@@ -3,13 +3,15 @@
 Problem data consists of two discrete marginals ``mu`` and ``nu``, strictly
 positive reference weights ``mu_tilde`` and ``nu_tilde`` whose product is the
 base measure for densities, a finite cost matrix and a regularization
-strength ``epsilon``. A coupling is represented by its density matrix ``z``
-with respect to the product reference, together with the induced coupling
-weights ``pi[i, j] = z[i, j] * mu_tilde[i] * nu_tilde[j]``.
+strength ``epsilon``. A coupling is represented by its density: a plain
+``(n, m)`` array ``z`` with respect to the product reference. Its coupling
+weights ``pi[i, j] = z[i, j] * mu_tilde[i] * nu_tilde[j]`` follow from it as
+``z * inst.ref_weights`` and are not stored.
 
 Dual variables are stored in the rescaled parameterization throughout: the
 density induced by potentials ``(f, g)`` is
-``z[i, j] = max(0, (f[i] + g[j] - cost[i, j]) / epsilon)``. This
+``z[i, j] = max(0, (f[i] + g[j] - cost[i, j]) / epsilon)``, built by
+:func:`density_from_potentials` as a read-only array. This
 parameterization stays bounded as ``epsilon`` shrinks, which is what the
 sparsity experiments rely on.
 """
@@ -23,11 +25,9 @@ __all__ = [
     "ValidationError",
     "Instance",
     "Potentials",
-    "CouplingDensity",
     "SolveReport",
     "validate_instance",
     "with_epsilon",
-    "coupling_from_z",
     "density_from_potentials",
     "marginal_residuals",
     "max_residual",
@@ -203,32 +203,6 @@ class Potentials:
         object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class CouplingDensity:
-    """Density ``z`` with respect to the product reference and coupling weights ``pi``."""
-
-    z: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        z = _frozen(self.z)
-        pi = _frozen(self.pi)
-        if np.any(z < 0):
-            raise ValidationError("coupling density must be nonnegative")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "pi", pi)
-
-
-def coupling_from_z(inst, z):
-    """Wrap a density matrix, deriving coupling weights against the reference."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (inst.n, inst.m):
-        raise ValidationError(
-            f"dimension mismatch: z has shape {z.shape}, expected ({inst.n}, {inst.m})"
-        )
-    return CouplingDensity(z=z, pi=z * inst.ref_weights)
-
-
 def _check_potentials(inst, p):
     """Raise a ValidationError unless ``p`` has one entry per row and per column."""
     if p.f.size != inst.n or p.g.size != inst.m:
@@ -247,19 +221,16 @@ def _unclipped_density(inst, f, g):
     return (f[:, None] + g[None, :] - inst.cost) / inst.epsilon
 
 
-def _density(inst, p):
-    """Density matrix of ``p``, without the copies and checks of a ``CouplingDensity``."""
-    return np.maximum(0.0, _unclipped_density(inst, p.f, p.g))
-
-
-def _residuals(inst, z):
-    """Row and column residuals of the density matrix ``z``, see :func:`marginal_residuals`."""
-    return z @ inst.nu_tilde - inst.mu_ratio, inst.mu_tilde @ z - inst.nu_ratio
-
-
-def _primal_value(inst, z):
-    """:func:`primal_objective` of the density matrix ``z``, as two matvecs."""
-    return float(inst.mu_tilde @ (((inst.cost + 0.5 * inst.epsilon * z) * z) @ inst.nu_tilde))
+def _check_density(inst, z):
+    """``z`` as a float array, or a ValidationError unless it is a nonnegative ``(n, m)`` matrix."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (inst.n, inst.m):
+        raise ValidationError(
+            f"dimension mismatch: z has shape {z.shape}, expected ({inst.n}, {inst.m})"
+        )
+    if np.any(z < 0):
+        raise ValidationError("coupling density must be nonnegative")
+    return z
 
 
 def _dual_value(inst, p, z):
@@ -270,7 +241,7 @@ def _dual_value(inst, p, z):
 
 def _report(inst, p, z, z_p, iterations, converged):
     """:class:`SolveReport` of the density matrix ``z`` and of ``p``, whose density is ``z_p``."""
-    primal = _primal_value(inst, z)
+    primal = primal_objective(inst, z)
     dual = _dual_value(inst, p, z_p)
     residual = max_residual(inst, z)
     return SolveReport(primal, dual, primal - dual, residual, int(iterations), bool(converged))
@@ -279,33 +250,46 @@ def _report(inst, p, z, z_p, iterations, converged):
 def density_from_potentials(inst, p):
     """Density induced by potentials: ``max(0, (f + g - cost) / epsilon)`` entrywise.
 
-    No marginal feasibility is implied; feed the result to
-    :func:`marginal_residuals` to test whether ``(f, g)`` actually are
-    potentials of the instance.
+    Returns a fresh read-only ``(n, m)`` array. No marginal feasibility is
+    implied; feed the result to :func:`marginal_residuals` to test whether
+    ``(f, g)`` actually are potentials of the instance.
     """
     _check_potentials(inst, p)
-    return coupling_from_z(inst, _density(inst, p))
+    z = np.maximum(0.0, _unclipped_density(inst, p.f, p.g))
+    z.setflags(write=False)
+    return z
 
 
-def marginal_residuals(inst, cd):
-    """Residuals of the two marginal systems of a candidate density.
+def marginal_residuals(inst, z):
+    """Residuals of the two marginal systems of a candidate density ``z``.
 
     Returns ``(row, col)`` where ``row[i] = sum_j nu_tilde[j] z[i, j] -
     mu[i] / mu_tilde[i]`` and ``col`` is the column analog. Both vanish
-    exactly when ``z`` is the density of a coupling of ``(mu, nu)``.
+    exactly when ``z`` is the density of a coupling of ``(mu, nu)``. Raises a
+    ValidationError unless ``z`` is a nonnegative ``(n, m)`` matrix.
     """
-    return _residuals(inst, cd.z)
+    z = _check_density(inst, z)
+    return z @ inst.nu_tilde - inst.mu_ratio, inst.mu_tilde @ z - inst.nu_ratio
 
 
 def max_residual(inst, z):
-    """Worst absolute entry of :func:`marginal_residuals`, from the density matrix ``z``."""
-    row, col = _residuals(inst, z)
+    """Worst absolute entry of :func:`marginal_residuals`, without its check on ``z``.
+
+    The solver calls this on its own density at every iteration.
+    """
+    row = z @ inst.nu_tilde - inst.mu_ratio
+    col = inst.mu_tilde @ z - inst.nu_ratio
     return max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
 
 
-def primal_objective(inst, cd):
-    """Transport cost plus the quadratic penalty, ``sum(c * pi) + eps/2 * ||z||^2``."""
-    return _primal_value(inst, cd.z)
+def primal_objective(inst, z):
+    """Transport cost plus the quadratic penalty, ``sum(c * pi) + eps/2 * ||z||^2``.
+
+    Evaluated as two matvecs with ``pi = z * mu_tilde x nu_tilde``; raises a
+    ValidationError unless ``z`` is a nonnegative ``(n, m)`` matrix.
+    """
+    z = _check_density(inst, z)
+    return float(inst.mu_tilde @ (((inst.cost + 0.5 * inst.epsilon * z) * z) @ inst.nu_tilde))
 
 
 def dual_objective(inst, p):
@@ -314,16 +298,19 @@ def dual_objective(inst, p):
     Computes ``sum_i f[i] mu[i] + sum_j g[j] nu[j]
     - eps/2 * sum_ij ((f[i]+g[j]-c[i,j])/eps)_+^2 * mu_tilde[i] nu_tilde[j]``.
     """
-    return _dual_value(inst, p, _density(inst, p))
+    return _dual_value(inst, p, density_from_potentials(inst, p))
 
 
-def duality_gap(inst, p, cd, iterations=0, converged=False):
+def duality_gap(inst, p, z, iterations=0, converged=False):
     """Assemble a :class:`SolveReport` for a primal/dual pair.
 
-    The gap is zero exactly when ``cd`` is feasible and equals the density
-    induced by ``p``; for feasible ``cd`` it is nonnegative up to round-off.
+    The gap is zero exactly when the density ``z`` is feasible and equals the
+    density induced by ``p``; for feasible ``z`` it is nonnegative up to
+    round-off. Raises a ValidationError unless ``z`` is a nonnegative ``(n,
+    m)`` matrix.
     """
-    return _report(inst, p, cd.z, _density(inst, p), iterations, converged)
+    z = _check_density(inst, z)
+    return _report(inst, p, z, density_from_potentials(inst, p), iterations, converged)
 
 
 @dataclass(frozen=True)

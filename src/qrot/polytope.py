@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Potentials, ValidationError, _check_potentials, _density, _unclipped_density
+from .model import (
+    Potentials,
+    ValidationError,
+    _check_density,
+    _unclipped_density,
+    density_from_potentials,
+)
 from .support import SupportSet, _label_runs, components
 
 __all__ = [
@@ -221,13 +227,14 @@ def apply_shifts(p, decomp, alpha, eps, pd=None):
 
 
 def verify_potentials(inst, p, z_star, tol=1e-8):
-    """True iff the density induced by ``p`` reproduces the optimal density.
+    """True iff the density induced by ``p`` reproduces the optimal density ``z_star``.
 
     Matching the (unique) optimal density is equivalent to being potentials,
-    so this is a complete membership test for the family.
+    so this is a complete membership test for the family. Raises a
+    ValidationError unless ``z_star`` is a nonnegative ``(n, m)`` matrix.
     """
-    _check_potentials(inst, p)
-    return bool(np.max(np.abs(_density(inst, p) - z_star.z)) <= tol)
+    z_star = _check_density(inst, z_star)
+    return bool(np.max(np.abs(density_from_potentials(inst, p) - z_star)) <= tol)
 
 
 def mirror_pairing(decomp):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import coupling_from_z, marginal_residuals, max_residual
+from .model import marginal_residuals, max_residual
 
 __all__ = ["DykstraState", "ProjectionError", "project", "project_point"]
 
@@ -63,18 +63,20 @@ def project(inst, tol=1e-10, max_iter=1_000_000):
 
     Returns
     -------
-    CouplingDensity
-        The optimal density of the instance, up to the stated tolerances.
+    ndarray, shape (n, m)
+        The optimal density of the instance, read-only, up to the stated
+        tolerances.
     """
-    cd, _ = project_point(inst, -inst.cost / inst.epsilon, tol=tol, max_iter=max_iter)
-    return cd
+    z, _ = project_point(inst, -inst.cost / inst.epsilon, tol=tol, max_iter=max_iter)
+    return z
 
 
 def project_point(inst, point, tol=1e-10, max_iter=1_000_000):
     """Project an arbitrary matrix onto the coupling-density set.
 
-    Returns ``(CouplingDensity, DykstraState)``. Used directly by tests to
-    generate feasible densities from random starting matrices.
+    Returns ``(z, DykstraState)`` with the read-only density ``z``. Used
+    directly by tests to generate feasible densities from random starting
+    matrices.
     """
     z = np.array(point, dtype=float)
     if z.shape != (inst.n, inst.m):
@@ -94,10 +96,10 @@ def project_point(inst, point, tol=1e-10, max_iter=1_000_000):
         state.z = z
         state.last_change = float(np.max(np.abs(z - previous)))
         if state.last_change <= tol and max_residual(inst, z) <= 10.0 * tol:
-            return coupling_from_z(inst, z), state
+            z.setflags(write=False)
+            return z, state
 
-    cd = coupling_from_z(inst, state.z)
-    residuals = marginal_residuals(inst, cd)
+    residuals = marginal_residuals(inst, state.z)
     raise ProjectionError(
         f"projection did not converge within {max_iter} cycles"
         f" (last change {state.last_change:.3e})",

@@ -35,10 +35,10 @@ import numpy as np
 from .model import (
     Potentials,
     ValidationError,
-    _density,
     _dual_value,
     _report,
     _unclipped_density,
+    density_from_potentials,
     max_residual,
     shift_potentials,
 )
@@ -46,8 +46,6 @@ from .support import _row_roots
 
 __all__ = [
     "SolverConfig",
-    "RowEquation",
-    "solve_row_equation",
     "sweep",
     "solve",
     "solve_symmetric",
@@ -83,27 +81,6 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
-class RowEquation:
-    """One marginal equation: find ``t`` with ``sum_j weights[j] (t - thresholds[j])_+ = target``."""
-
-    thresholds: np.ndarray
-    weights: np.ndarray
-    target: float
-
-    def __post_init__(self):
-        thresholds = np.asarray(self.thresholds, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if thresholds.shape != weights.shape or thresholds.ndim != 1:
-            raise ValidationError("thresholds and weights must be 1-d arrays of equal length")
-        if not np.all(weights > 0):
-            raise ValidationError("weights must be strictly positive")
-        if not self.target > 0:
-            raise ValidationError("nonpositive target")
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "weights", weights)
-
-
 def _pw_roots(thresholds, weights, targets):
     """Roots of ``sum_k w[k] (t - th[r, k])_+ = targets[r]``, one per row.
 
@@ -135,12 +112,6 @@ def _pw_roots(thresholds, weights, targets):
             break
         count = remaining
     return t, passes
-
-
-def solve_row_equation(eq):
-    """Exact root of a single piecewise-linear marginal equation."""
-    roots, _ = _pw_roots(eq.thresholds, eq.weights, [eq.target])
-    return float(roots[0])
 
 
 def sweep(inst, p):
@@ -346,7 +317,7 @@ def solve(inst, cfg=None, init=None):
             break
 
     p = _normalize(p, cfg.normalization)
-    z = _density(inst, p)
+    z = density_from_potentials(inst, p)
     return p, _report(inst, p, z, z, iterations, converged)
 
 
@@ -381,6 +352,6 @@ def solve_symmetric(inst, cfg=None, init=None):
         sweeps += report.iterations
         f = 0.5 * (q.f + q.g)
         p = Potentials(f=f, g=f, symmetric=True)
-        z = _density(inst, p)
+        z = density_from_potentials(inst, p)
         converged = max_residual(inst, z) <= cfg.tol_residual
     return p, _report(inst, p, z, z, sweeps, converged)

@@ -17,7 +17,6 @@ import numpy as np
 from .model import (
     Potentials,
     ValidationError,
-    coupling_from_z,
     density_from_potentials,
     validate_instance,
     with_epsilon,
@@ -63,8 +62,9 @@ def northwest_corner(mu, nu):
 def monotone_coupling_1d(xs, mu, ys, nu):
     """Monotone plan of sorted 1-d marginals, optimal for quadratic cost.
 
-    Returns a coupling density with the marginals themselves as reference
-    weights. Input points must be sorted ascending.
+    Returns the plan's coupling weights, an ``(n, m)`` array with the
+    normalized marginals as its row and column sums. Input points must be
+    sorted ascending.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -73,8 +73,7 @@ def monotone_coupling_1d(xs, mu, ys, nu):
     if np.any(np.diff(ys) < 0):
         raise ValidationError("ys must be sorted ascending")
     inst = _quadratic_instance(xs, mu, ys, nu, 1.0)
-    plan = northwest_corner(inst.mu, inst.nu)
-    return coupling_from_z(inst, plan / inst.ref_weights)
+    return northwest_corner(inst.mu, inst.nu)
 
 
 def _quadratic_instance(xs, mu, ys, nu, eps):
@@ -135,7 +134,7 @@ def epsilon_sweep(grid, epsilons, delta, cfg=None):
         raise ValidationError(f"delta must be finite and nonnegative, got {delta!r}")
 
     base = monotone_coupling_1d(grid.xs, grid.mu, grid.ys, grid.nu)
-    near = _neighborhood_mask(grid.xs, grid.ys, base.pi > 0, delta)
+    near = _neighborhood_mask(grid.xs, grid.ys, base > 0, delta)
     family = grid.instance(1.0)
     cfg = cfg or SolverConfig()
 
@@ -148,13 +147,14 @@ def epsilon_sweep(grid, epsilons, delta, cfg=None):
         inst = with_epsilon(family, eps)
         p, report = solve(inst, cfg, init=warm)
         warm = p
-        cd = density_from_potentials(inst, p)
-        mask = support_set(cd).mask
+        z = density_from_potentials(inst, p)
+        mask = support_set(z).mask
         support_sizes.append(int(mask.sum()))
         # measure the escaping mass: off-neighborhood cells of a sparse
         # solution are exact zeros, so full containment comes out as exact 1.0
-        total = float(cd.pi.sum())
-        outside = float(cd.pi[~near].sum())
+        pi = z * inst.ref_weights
+        total = float(pi.sum())
+        outside = float(pi[~near].sum())
         containment.append(1.0 - outside / total if total > 0 else 0.0)
         trace.append(p)
         reports.append(report)
@@ -241,8 +241,9 @@ def zero_cost_closed_form(inst):
 
     If ``min_i mu[i]/mu_tilde[i] + min_j nu[j]/nu_tilde[j] > 1`` the optimal
     density is ``z[i, j] = mu[i]/mu_tilde[i] + nu[j]/nu_tilde[j] - 1`` with
-    explicit potentials; returns ``(Potentials, CouplingDensity)``. Otherwise
-    the support is not full and the solver must be used; returns ``None``.
+    explicit potentials; returns ``(Potentials, z)`` with ``z`` read-only.
+    Otherwise the support is not full and the solver must be used; returns
+    ``None``.
     """
     if np.any(inst.cost != 0):
         raise ValidationError("nonzero cost")
@@ -252,7 +253,8 @@ def zero_cost_closed_form(inst):
         return None
     z = r[:, None] + s[None, :] - 1.0
     p = Potentials(f=inst.epsilon * (r - 0.5), g=inst.epsilon * (s - 0.5))
-    return p, coupling_from_z(inst, z)
+    z.setflags(write=False)
+    return p, z
 
 
 @dataclass(frozen=True)
@@ -296,8 +298,7 @@ def refinement_study(spec, grid_sizes, cfg=None):
         cost = np.asarray(spec.cost(xs[:, None], xs[None, :]), dtype=float)
         inst = validate_instance(mu / mu.sum(), nu / nu.sum(), cost)
         p, report = solve(inst, cfg)
-        cd = density_from_potentials(inst, p)
-        s = support_set(cd)
+        s = support_set(density_from_potentials(inst, p))
         decomp = components(s)
         pd = compute_polytope(inst, p, decomp, s)
         finite_offdiag = pd.a[np.isfinite(pd.a) & ~np.eye(pd.n_components, dtype=bool)]

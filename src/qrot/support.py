@@ -26,8 +26,8 @@ class SupportSet:
     tau: float
 
 
-def support_set(cd, tau=None):
-    """Boolean support mask ``z > tau``.
+def support_set(z, tau=None):
+    """Boolean support mask ``z > tau`` of the density matrix ``z``.
 
     The default threshold is relative, ``tau = DEFAULT_TAU_REL * max(z)``:
     density entries scale like ``1 / epsilon``, so an absolute threshold
@@ -35,7 +35,6 @@ def support_set(cd, tau=None):
     sits within ten machine epsilons of the threshold, since the component
     count can flip on such versions of the density.
     """
-    z = cd.z
     zmax = float(z.max()) if z.size else 0.0
     if tau is None:
         tau = DEFAULT_TAU_REL * zmax

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qrot import coupling_from_z, northwest_corner, validate_instance
+from qrot import northwest_corner, validate_instance
 from qrot.io import instance_from_dict
 
 
@@ -149,8 +149,7 @@ def random_feasible_density(rng, inst, n_plans=3):
         full[np.ix_(rows, cols)] = plan
         densities.append(full / inst.ref_weights)
     weights = rng.dirichlet(np.ones(len(densities)))
-    mix = sum(w * z for w, z in zip(weights, densities))
-    return coupling_from_z(inst, mix)
+    return sum(w * z for w, z in zip(weights, densities))
 
 
 # ---------------------------------------------------------------------------

@@ -55,20 +55,20 @@ def timed(fn, *args, **kwargs):
 
 def analyze(inst, symmetric=False):
     p, report = (solve_symmetric if symmetric else solve)(inst)
-    cd = density_from_potentials(inst, p)
-    s = support_set(cd)
+    z = density_from_potentials(inst, p)
+    s = support_set(z)
     d = components(s)
     pd = compute_polytope(inst, p, d, s)
-    return p, report, cd, s, d, pd
+    return p, report, z, s, d, pd
 
 
 def test_c01_two_point_diagonal_reproduction():
     start = time.perf_counter()
     for gamma in (0.5, 1.0, 2.0):
         inst = two_point_offdiag(gamma)
-        p, report, cd, s, d, pd = analyze(inst)
+        p, report, z, s, d, pd = analyze(inst)
         assert report.converged
-        assert np.max(np.abs(cd.z - 2.0 * np.eye(2))) <= 1e-8
+        assert np.max(np.abs(z - 2.0 * np.eye(2))) <= 1e-8
         assert abs(report.duality_gap) <= 1e-10
         assert d.count == 2
         assert abs(pd.a[0, 1] - gamma) <= 1e-8
@@ -76,12 +76,12 @@ def test_c01_two_point_diagonal_reproduction():
         for alpha in np.linspace(0.0, gamma, 5):
             for beta in np.linspace(0.0, gamma, 5):
                 assert abs(alpha - beta) <= gamma
-                assert verify_potentials(inst, offdiag_family(alpha, beta), cd, tol=1e-8)
+                assert verify_potentials(inst, offdiag_family(alpha, beta), z, tol=1e-8)
         assert not verify_potentials(
-            inst, offdiag_family(0.0, gamma + 0.1), cd, tol=1e-8
+            inst, offdiag_family(0.0, gamma + 0.1), z, tol=1e-8
         )
         assert not verify_potentials(
-            inst, offdiag_family(gamma + 0.1, 0.0), cd, tol=1e-8
+            inst, offdiag_family(gamma + 0.1, 0.0), z, tol=1e-8
         )
     assert time.perf_counter() - start < 1.0
 
@@ -89,17 +89,17 @@ def test_c01_two_point_diagonal_reproduction():
 def test_c02_two_point_full_support_regime():
     for eta in (0.5, 1.0, 1.5):
         inst = validate_instance([0.5, 0.5], [0.5, 0.5], eta * (1.0 - np.eye(2)))
-        p, report, cd, s, d, pd = analyze(inst)
+        p, report, z, s, d, pd = analyze(inst)
         assert report.converged
         expected = (1 + eta / 2) * np.eye(2) + (1 - eta / 2) * (1 - np.eye(2))
-        assert np.max(np.abs(cd.z - expected)) <= 1e-8
+        assert np.max(np.abs(z - expected)) <= 1e-8
         assert d.count == 1
         assert pd.dimension == 1
 
 
 def test_c03_boundary_gamma_zero_rigid():
     inst = two_point_offdiag(0.0)
-    p, report, cd, s, d, pd = analyze(inst)
+    p, report, z, s, d, pd = analyze(inst)
     assert report.converged
     assert pd.rigid_pairs == ((0, 1),)
     assert pd.dimension == 1
@@ -130,24 +130,24 @@ def test_c05_zero_cost_skewed_reference():
     for lam in (0.1, 0.25):
         inst = zero_cost_skewed(lam)
         assert zero_cost_closed_form(inst) is None  # sparse branch
-        p, report, cd, s, d, pd = analyze(inst)
+        p, report, z, s, d, pd = analyze(inst)
         assert report.converged
         np.testing.assert_array_equal(s.mask, [[True, True], [True, False]])
         explicit = np.array([2.0 - 4.0 * lam, -2.0 + 8.0 * lam])
         assert verify_potentials(
-            inst, Potentials(explicit, explicit.copy()), cd, tol=1e-8
+            inst, Potentials(explicit, explicit.copy()), z, tol=1e-8
         )
     # above the threshold the closed form applies and the support is full
     lam = 0.3
     inst = zero_cost_skewed(lam)
     result = zero_cost_closed_form(inst)
     assert result is not None
-    p_cf, cd_cf = result
+    p_cf, z_cf = result
     ratios = inst.mu_ratio
     expected = ratios[:, None] + ratios[None, :] - 1.0
-    np.testing.assert_allclose(cd_cf.z, expected, atol=1e-12)
-    assert np.all(cd_cf.z > 0)
-    assert support_set(cd_cf).mask.all()
+    np.testing.assert_allclose(z_cf, expected, atol=1e-12)
+    assert np.all(z_cf > 0)
+    assert support_set(z_cf).mask.all()
 
 
 def test_c06_zero_cost_equal_references_independent_coupling():
@@ -160,8 +160,8 @@ def test_c06_zero_cost_equal_references_independent_coupling():
         target = np.outer(inst.mu, inst.nu)
         p, report = solve(inst)
         assert report.converged
-        assert np.max(np.abs(density_from_potentials(inst, p).pi - target)) <= 1e-8
-        assert np.max(np.abs(project(inst).pi - target)) <= 1e-8
+        assert np.max(np.abs(density_from_potentials(inst, p) * inst.ref_weights - target)) <= 1e-8
+        assert np.max(np.abs(project(inst) * inst.ref_weights - target)) <= 1e-8
 
 
 def test_c07_oracle_agreement_random_instances():
@@ -180,7 +180,7 @@ def test_c07_oracle_agreement_random_instances():
         assert report.converged
         z_dual = density_from_potentials(inst, p)
         z_proj = project(inst)
-        assert np.max(np.abs(z_dual.z - z_proj.z)) <= 1e-6
+        assert np.max(np.abs(z_dual - z_proj)) <= 1e-6
         assert abs(report.primal_value - report.dual_value) <= 1e-8
     assert time.perf_counter() - start < 30.0
 
@@ -193,9 +193,9 @@ def test_c08_weak_duality():
         rng = np.random.default_rng(801)
         for _ in range(200):
             inst = random_instance(rng, max_size=6)
-            cd = random_feasible_density(rng, inst)
+            z = random_feasible_density(rng, inst)
             p = Potentials(rng.normal(size=inst.n), rng.normal(size=inst.m))
-            assert primal_objective(inst, cd) >= dual_objective(inst, p) - 1e-9
+            assert primal_objective(inst, z) >= dual_objective(inst, p) - 1e-9
 
     _, elapsed = timed(suite)
     SUITE_TIMES.append(elapsed)
@@ -228,9 +228,9 @@ def test_c08_rescaling_identity():
                 nu_tilde=inst.nu_tilde,
                 epsilon=1.0,
             )
-            cd = random_feasible_density(rng, inst)
+            z = random_feasible_density(rng, inst)
             assert abs(
-                primal_objective(inst, cd) - inst.epsilon * primal_objective(unit, cd)
+                primal_objective(inst, z) - inst.epsilon * primal_objective(unit, z)
             ) <= 1e-9
             p = Potentials(rng.normal(size=inst.n), rng.normal(size=inst.m))
             scaled = Potentials(p.f / inst.epsilon, p.g / inst.epsilon)
@@ -319,11 +319,11 @@ def test_c08_polytope_soundness():
         while checked < 100:
             trial += 1
             inst = random_instance(rng, max_size=6, eps=float(rng.uniform(0.02, 0.3)))
-            p, report, cd, s, d, pd = analyze(inst)
+            p, report, z, s, d, pd = analyze(inst)
             assert report.converged
             for alpha in sample_shifts(pd, 5, seed=trial):
                 q = apply_shifts(p, d, alpha, inst.epsilon, pd)
-                assert verify_potentials(inst, q, cd, tol=1e-7)
+                assert verify_potentials(inst, q, z, tol=1e-7)
                 checked += 1
 
     _, elapsed = timed(suite)
@@ -335,14 +335,14 @@ def test_c08_variational_inequality():
         rng = np.random.default_rng(809)
         for _ in range(10):
             inst = random_instance(rng, max_size=6)
-            z_star = project(inst).z
+            z_star = project(inst)
             target = -inst.cost / inst.epsilon
             for _ in range(20):
                 feasible, _ = project_point(
                     inst, rng.normal(size=(inst.n, inst.m))
                 )
                 inner = np.sum(
-                    (z_star - target) * (feasible.z - z_star) * inst.ref_weights
+                    (z_star - target) * (feasible - z_star) * inst.ref_weights
                 )
                 assert inner >= -1e-6
 
@@ -382,7 +382,7 @@ def test_c10_block_cost_refinement():
     inst = validate_instance(
         np.full(10, 0.1), np.full(10, 0.1), spec.cost(xs[:, None], xs[None, :])
     )
-    p, report, cd, s, d, pd = analyze(inst)
+    p, report, z, s, d, pd = analyze(inst)
     assert report.converged
     assert abs(pd.a[0, 1] - gamma) <= 1e-6
     assert abs(pd.a[1, 0] - gamma) <= 1e-6

@@ -459,21 +459,17 @@ class TestSweepCommand:
 
 class TestNumericFlags:
     @pytest.mark.parametrize("command", ["solve", "analyze"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-    def test_bad_tau_rel_exit_one_before_solving(
-        self, tmp_path, capsys, monkeypatch, command, value
-    ):
-        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
-        calls = []
-        monkeypatch.setattr(qrot.cli, "solve", lambda *args: calls.append(args))
-        rc = main([command, path, "--tau-rel", value])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1", "2"])
+    def test_bad_tau_rel_exit_one_before_solving(self, tmp_path, capsys, command, value):
+        # tau = tau_rel * max z, so tau_rel >= 1 would leave no support at all;
+        # the input file does not exist, so the flag must be rejected before any load
+        out = tmp_path / "out.json"
+        rc = main([command, str(tmp_path / "missing.json"), "--tau-rel", value, "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == (
-            f"error: --tau-rel must be finite and nonnegative, got {float(value)!r}\n"
-        )
-        assert calls == []
+        assert captured.err == f"error: --tau-rel must be in [0, 1), got {float(value)!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flag", [("verify", "--tol-verify"), ("oracle", "--tol-oracle")]
@@ -680,7 +676,7 @@ class TestSubThresholdDensity:
             shifted = Potentials(
                 f + inst.epsilon * alpha[row_label], g - inst.epsilon * alpha[col_label]
             )
-            diff = density_from_potentials(inst, shifted).z - z
+            diff = density_from_potentials(inst, shifted) - z
             assert np.max(np.abs(diff)) <= out["support"]["tau"]
 
 

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from qrot import (
-    CouplingDensity,
     Potentials,
     ValidationError,
-    coupling_from_z,
     density_from_potentials,
     dual_objective,
     duality_gap,
@@ -15,6 +13,7 @@ from qrot import (
     shift_potentials,
     solve,
     validate_instance,
+    verify_potentials,
     with_epsilon,
 )
 from conftest import (
@@ -87,30 +86,30 @@ class TestDensityFromPotentials:
         inst = two_point_offdiag(gamma)
         for alpha, beta in [(0.0, 0.0), (0.3, -0.5), (1.0, 1.0 + gamma)]:
             assert abs(alpha - beta) <= gamma
-            cd = density_from_potentials(inst, offdiag_family(alpha, beta))
-            np.testing.assert_allclose(cd.z, 2.0 * np.eye(2), atol=1e-14)
+            z = density_from_potentials(inst, offdiag_family(alpha, beta))
+            np.testing.assert_allclose(z, 2.0 * np.eye(2), atol=1e-14)
 
     def test_all_zero_inputs_give_zero_density(self):
         inst = validate_instance([0.5, 0.5], [0.5, 0.5], np.zeros((2, 2)))
-        cd = density_from_potentials(inst, Potentials(np.zeros(2), np.zeros(2)))
-        np.testing.assert_array_equal(cd.z, np.zeros((2, 2)))
+        z = density_from_potentials(inst, Potentials(np.zeros(2), np.zeros(2)))
+        np.testing.assert_array_equal(z, np.zeros((2, 2)))
 
     def test_solved_density_matches_projection(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, n=3, m=3)
         p, report = solve(inst)
         assert report.converged
-        cd_dual = density_from_potentials(inst, p)
-        cd_proj, _ = project_point(inst, -inst.cost / inst.epsilon)
-        assert np.max(np.abs(cd_dual.z - cd_proj.z)) <= 1e-6
+        z_dual = density_from_potentials(inst, p)
+        z_proj, _ = project_point(inst, -inst.cost / inst.epsilon)
+        assert np.max(np.abs(z_dual - z_proj)) <= 1e-6
 
     def test_lipschitz_in_potentials(self):
         rng = np.random.default_rng(11)
         inst = random_instance(rng, n=4, m=5)
         p = Potentials(rng.normal(size=4), rng.normal(size=5))
         q = Potentials(p.f + rng.normal(scale=0.1, size=4), p.g + rng.normal(scale=0.1, size=5))
-        zp = density_from_potentials(inst, p).z
-        zq = density_from_potentials(inst, q).z
+        zp = density_from_potentials(inst, p)
+        zq = density_from_potentials(inst, q)
         bound = (np.abs(p.f - q.f)[:, None] + np.abs(p.g - q.g)[None, :]) / inst.epsilon
         assert np.all(np.abs(zp - zq) <= bound + 1e-12)
 
@@ -118,22 +117,22 @@ class TestDensityFromPotentials:
 class TestMarginalResiduals:
     def test_optimal_density_has_zero_residuals(self):
         inst = two_point_offdiag(1.0)
-        cd = coupling_from_z(inst, 2.0 * np.eye(2))
-        row, col = marginal_residuals(inst, cd)
+        z = 2.0 * np.eye(2)
+        row, col = marginal_residuals(inst, z)
         np.testing.assert_allclose(row, 0.0, atol=1e-15)
         np.testing.assert_allclose(col, 0.0, atol=1e-15)
 
     def test_zero_density_has_negative_ratio_residual(self):
         inst = validate_instance([0.3, 0.7], [0.5, 0.5], np.zeros((2, 2)))
-        cd = coupling_from_z(inst, np.zeros((2, 2)))
-        row, _ = marginal_residuals(inst, cd)
+        z = np.zeros((2, 2))
+        row, _ = marginal_residuals(inst, z)
         np.testing.assert_allclose(row, -inst.mu_ratio)
 
     def test_single_entry_perturbation(self):
         inst = two_point_offdiag(1.0)
         z = 2.0 * np.eye(2)
         z[0, 0] += 0.1
-        row, col = marginal_residuals(inst, coupling_from_z(inst, z))
+        row, col = marginal_residuals(inst, z)
         assert row[0] == pytest.approx(0.05, abs=1e-15)
         assert col[0] == pytest.approx(0.05, abs=1e-15)
 
@@ -142,21 +141,21 @@ class TestObjectives:
     def test_primal_at_diagonal_density(self):
         for gamma in (0.0, 1.0, 2.5):
             inst = two_point_offdiag(gamma)
-            cd = coupling_from_z(inst, 2.0 * np.eye(2))
+            z = 2.0 * np.eye(2)
             # no transported mass off the diagonal, so only the penalty remains
-            assert primal_objective(inst, cd) == pytest.approx(1.0, abs=1e-14)
+            assert primal_objective(inst, z) == pytest.approx(1.0, abs=1e-14)
 
     def test_primal_of_independent_density_is_half_epsilon(self):
         for eps in (1.0, 0.25):
             inst = validate_instance([0.3, 0.7], [0.6, 0.4], np.zeros((2, 2)), epsilon=eps)
-            cd = coupling_from_z(inst, np.ones((2, 2)))
-            assert primal_objective(inst, cd) == pytest.approx(eps / 2, rel=1e-15)
+            z = np.ones((2, 2))
+            assert primal_objective(inst, z) == pytest.approx(eps / 2, rel=1e-15)
 
     def test_primal_rescaling_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             inst = random_instance(rng)
-            cd = random_feasible_density(rng, inst)
+            z = random_feasible_density(rng, inst)
             unit = validate_instance(
                 inst.mu,
                 inst.nu,
@@ -165,8 +164,8 @@ class TestObjectives:
                 nu_tilde=inst.nu_tilde,
                 epsilon=1.0,
             )
-            lhs = primal_objective(inst, cd)
-            rhs = inst.epsilon * primal_objective(unit, cd)
+            lhs = primal_objective(inst, z)
+            rhs = inst.epsilon * primal_objective(unit, z)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_dual_constant_on_the_family(self):
@@ -216,15 +215,15 @@ class TestDualityGap:
     def test_optimal_pair_has_zero_gap(self):
         inst = two_point_offdiag(1.0)
         p = offdiag_family(0.2, 0.9)
-        cd = coupling_from_z(inst, 2.0 * np.eye(2))
-        report = duality_gap(inst, p, cd)
+        z = 2.0 * np.eye(2)
+        report = duality_gap(inst, p, z)
         assert abs(report.duality_gap) <= 1e-12
         assert report.marginal_residual <= 1e-14
 
     def test_suboptimal_primal_point_has_positive_gap(self):
         inst = two_point_offdiag(1.0)
         p = offdiag_family(0.0, 0.0)
-        independent = coupling_from_z(inst, np.ones((2, 2)))
+        independent = np.ones((2, 2))
         report = duality_gap(inst, p, independent)
         assert report.duality_gap > 0.1
 
@@ -235,19 +234,19 @@ class TestDualityGap:
         z_star = density_from_potentials(inst, p)
         gap_star = duality_gap(inst, p, z_star).duality_gap
         # a feasible density from a random start of the projection solver
-        cd, _ = project_point(inst, rng.normal(size=(4, 5)))
-        report = duality_gap(inst, p, cd)
+        z, _ = project_point(inst, rng.normal(size=(4, 5)))
+        report = duality_gap(inst, p, z)
         assert report.duality_gap >= -1e-9
-        expected = primal_objective(inst, cd) - primal_objective(inst, z_star) + gap_star
+        expected = primal_objective(inst, z) - primal_objective(inst, z_star) + gap_star
         assert report.duality_gap == pytest.approx(expected, abs=1e-12)
 
     def test_weak_duality_for_feasible_points(self):
         rng = np.random.default_rng(22)
         for _ in range(25):
             inst = random_instance(rng)
-            cd = random_feasible_density(rng, inst)
+            z = random_feasible_density(rng, inst)
             p = Potentials(rng.normal(size=inst.n), rng.normal(size=inst.m))
-            assert primal_objective(inst, cd) >= dual_objective(inst, p) - 1e-9
+            assert primal_objective(inst, z) >= dual_objective(inst, p) - 1e-9
 
 
 class TestShiftPotentials:
@@ -256,8 +255,8 @@ class TestShiftPotentials:
         p, report = solve(inst)
         assert report.converged
         shifted = shift_potentials(p, 5.0)
-        cd = density_from_potentials(inst, shifted)
-        row, col = marginal_residuals(inst, cd)
+        z = density_from_potentials(inst, shifted)
+        row, col = marginal_residuals(inst, z)
         assert max(np.max(np.abs(row)), np.max(np.abs(col))) <= 1e-10
 
     def test_zero_shift_is_identity(self):
@@ -273,8 +272,8 @@ class TestShiftPotentials:
         inst = two_point_offdiag(gamma)
         p = offdiag_family(0.25, 0.25 + gamma)
         for alpha in (-100.0, 3.7, 42.0):
-            cd = density_from_potentials(inst, shift_potentials(p, alpha))
-            np.testing.assert_allclose(cd.z, 2.0 * np.eye(2), atol=1e-12)
+            z = density_from_potentials(inst, shift_potentials(p, alpha))
+            np.testing.assert_allclose(z, 2.0 * np.eye(2), atol=1e-12)
 
     def test_symmetric_potentials_reject_shift(self):
         p = Potentials(np.array([1.0, 0.5]), np.array([1.0, 0.5]), symmetric=True)
@@ -291,20 +290,51 @@ class TestTypes:
         with pytest.raises(ValidationError, match=r"nonfinite potential at f\[1\]"):
             Potentials(np.array([0.0, np.nan]), np.array([0.0, 0.0]))
 
+    @staticmethod
+    def density_readers(inst):
+        """The public functions that check a caller's density before reading it."""
+        p = offdiag_family(0.0, 0.0)
+        return [
+            lambda z: marginal_residuals(inst, z),
+            lambda z: primal_objective(inst, z),
+            lambda z: duality_gap(inst, p, z),
+            lambda z: verify_potentials(inst, p, z),
+        ]
+
     def test_negative_density_rejected(self):
-        with pytest.raises(ValidationError, match="nonnegative"):
-            CouplingDensity(z=np.array([[-0.1]]), pi=np.array([[1.0]]))
+        inst = two_point_offdiag(1.0)
+        z = np.array([[2.0, -0.1], [0.0, 2.0]])
+        for read in self.density_readers(inst):
+            with pytest.raises(ValidationError, match="coupling density must be nonnegative"):
+                read(z)
+
+    def test_density_shape_rejected(self):
+        inst = two_point_offdiag(1.0)
+        for read in self.density_readers(inst):
+            with pytest.raises(
+                ValidationError, match=r"dimension mismatch: z has shape \(2, 3\), expected \(2, 2\)"
+            ):
+                read(np.ones((2, 3)))
+
+    def test_density_from_potentials_is_read_only(self):
+        inst = two_point_offdiag(1.0)
+        z = density_from_potentials(inst, offdiag_family(0.0, 0.0))
+        assert isinstance(z, np.ndarray) and z.shape == (2, 2)
+        with pytest.raises(ValueError):
+            z[0, 0] = 1.0
 
     def test_pi_consistent_with_reference(self):
+        # the primal objective reads the coupling weights pi = z * mu_tilde x nu_tilde
         rng = np.random.default_rng(1)
         inst = random_instance(rng)
         z = rng.uniform(0, 2, (inst.n, inst.m))
-        cd = coupling_from_z(inst, z)
-        np.testing.assert_array_equal(cd.pi, cd.z * inst.ref_weights)
+        pi = z * inst.ref_weights
+        expected = np.sum(inst.cost * pi) + 0.5 * inst.epsilon * np.sum(z * pi)
+        assert primal_objective(inst, z) == pytest.approx(expected, rel=1e-13)
 
     def test_pi_of_feasible_density_sums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             inst = random_instance(rng)
-            cd = random_feasible_density(rng, inst)
-            assert cd.pi.sum() == pytest.approx(1.0, abs=1e-12)
+            z = random_feasible_density(rng, inst)
+            assert (z * inst.ref_weights).sum() == pytest.approx(1.0, abs=1e-12)

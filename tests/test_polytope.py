@@ -37,11 +37,11 @@ from conftest import (
 def analyze(inst, symmetric=False):
     p, report = (solve_symmetric if symmetric else solve)(inst)
     assert report.converged
-    cd = density_from_potentials(inst, p)
-    s = support_set(cd)
+    z = density_from_potentials(inst, p)
+    s = support_set(z)
     d = components(s)
     pd = compute_polytope(inst, p, d, s)
-    return p, cd, s, d, pd
+    return p, z, s, d, pd
 
 
 def grouped_rigid_instance(n=40, group=3):
@@ -71,7 +71,7 @@ class TestPolytopeOracle:
     def test_block_instances(self, k):
         for seed in range(2):
             inst = block_instance(np.random.default_rng([k, seed]), k)
-            p, cd, s, d, _ = analyze(inst)
+            p, z, s, d, _ = analyze(inst)
             assert d.count == k
             pd = assert_matches_brute(inst, p, d, s)
             assert pd.dimension == k
@@ -83,7 +83,7 @@ class TestPolytopeOracle:
         # legitimately merge blocks, so the component count is not fixed.
         for seed in range(40):
             inst = block_instance(np.random.default_rng(seed), 80, spread=0.5)
-            p, cd, s, d, pd = analyze(inst)
+            p, z, s, d, pd = analyze(inst)
             a, _, rigid, dimension = brute_polytope(inst, p, d, s)
             np.testing.assert_array_equal(pd.a, a)
             assert pd.rigid_pairs == rigid
@@ -92,13 +92,13 @@ class TestPolytopeOracle:
     def test_rectangular_blocks(self):
         inst = block_instance(np.random.default_rng(21), 6, rows=2, cols=3)
         assert (inst.n, inst.m) == (12, 18)
-        p, cd, s, d, _ = analyze(inst)
+        p, z, s, d, _ = analyze(inst)
         assert d.count == 6
         assert_matches_brute(inst, p, d, s)
 
     def test_rigid_groups(self):
         inst = grouped_rigid_instance()
-        p, cd, s, d, _ = analyze(inst)
+        p, z, s, d, _ = analyze(inst)
         assert d.count == 40
         pd = assert_matches_brute(inst, p, d, s)
         # 13 groups of three and one singleton
@@ -202,7 +202,7 @@ class TestComputePolytope:
         rng = np.random.default_rng(4)
         for _ in range(10):
             inst = random_instance(rng, eps=0.05)
-            p, cd, s, d, pd = analyze(inst)
+            p, z, s, d, pd = analyze(inst)
             transposed = validate_instance(
                 inst.nu,
                 inst.mu,
@@ -231,7 +231,7 @@ class TestComputePolytope:
 
     def test_inconsistent_potentials_rejected(self):
         inst = two_point_offdiag(1.0)
-        p, cd, s, d, pd = analyze(inst)
+        p, z, s, d, pd = analyze(inst)
         # an off-family pair violates the slack system on this support
         bogus = Potentials(f=p.f + np.array([2.0, 0.0]), g=p.g)
         with pytest.raises(PotentialConsistencyError, match="inconsistent"):
@@ -271,7 +271,7 @@ class TestSampleShifts:
 
 class TestSampleShiftsAtScale:
     def check_samples(self, inst, samples=6, seed=5):
-        p, cd, s, d, pd = analyze(inst)
+        p, z, s, d, pd = analyze(inst)
         shifts = sample_shifts(pd, samples, seed=seed)
         assert len(shifts) == samples
         finite = np.isfinite(pd.a)
@@ -283,7 +283,7 @@ class TestSampleShiftsAtScale:
             for i, j in pd.rigid_pairs:
                 assert abs(alpha[i] - alpha[j]) <= 1e-9
             q = apply_shifts(p, d, alpha, inst.epsilon, pd)
-            assert verify_potentials(inst, q, cd)
+            assert verify_potentials(inst, q, z)
         for x, y in zip(shifts, sample_shifts(pd, samples, seed=seed)):
             np.testing.assert_array_equal(x, y)
         stacked = np.array(shifts)
@@ -320,16 +320,16 @@ class TestSampleShiftsAtScale:
 class TestApplyShifts:
     def test_known_shift_moves_second_component(self):
         inst = two_point_offdiag(1.0)
-        p, cd, s, d, pd = analyze(inst)
+        p, z, s, d, pd = analyze(inst)
         alpha = np.array([0.0, 0.5])
         q = apply_shifts(p, d, alpha, inst.epsilon, pd)
         np.testing.assert_allclose(q.f, p.f + [0.0, 0.5], atol=1e-15)
         np.testing.assert_allclose(q.g, p.g - [0.0, 0.5], atol=1e-15)
-        assert verify_potentials(inst, q, cd, tol=1e-9)
+        assert verify_potentials(inst, q, z, tol=1e-9)
 
     def test_zero_shift_is_identity(self):
         inst = two_point_offdiag(1.0)
-        p, cd, s, d, pd = analyze(inst)
+        p, z, s, d, pd = analyze(inst)
         q = apply_shifts(p, d, np.zeros(2), inst.epsilon, pd)
         np.testing.assert_array_equal(q.f, p.f)
         np.testing.assert_array_equal(q.g, p.g)
@@ -338,21 +338,21 @@ class TestApplyShifts:
         rng = np.random.default_rng(6)
         for trial in range(5):
             inst = random_instance(rng, eps=0.05)
-            p, cd, s, d, pd = analyze(inst)
+            p, z, s, d, pd = analyze(inst)
             for alpha in sample_shifts(pd, 5, seed=trial):
                 q = apply_shifts(p, d, alpha, inst.epsilon, pd)
-                assert verify_potentials(inst, q, cd, tol=1e-7)
+                assert verify_potentials(inst, q, z, tol=1e-7)
 
     def test_violating_shift_rejected(self):
         inst = two_point_offdiag(1.0)
-        p, cd, s, d, pd = analyze(inst)
+        p, z, s, d, pd = analyze(inst)
         with pytest.raises(ValidationError, match="constraint"):
             apply_shifts(p, d, np.array([0.0, 1.5]), inst.epsilon, pd)
 
     def test_epsilon_scaling_of_shifts(self):
         eps = 0.25
         inst = two_point_offdiag(1.0, eps=eps)
-        p, cd, s, d, pd = analyze(inst)
+        p, z, s, d, pd = analyze(inst)
         # diagonal sum is c + eps * z = 0.5, so the off-diagonal slack is
         # (3 - 0.5) / eps for the balanced solver potentials
         assert pd.a[0, 1] == pytest.approx((3.0 - 0.5) / eps, abs=1e-8)
@@ -360,7 +360,7 @@ class TestApplyShifts:
         alpha = sample_shifts(pd, 1, seed=0)[0]
         q = apply_shifts(p, d, alpha, eps, pd)
         np.testing.assert_allclose(q.f - p.f, eps * np.array([0.0, alpha[1]]), atol=1e-12)
-        assert verify_potentials(inst, q, cd, tol=1e-8)
+        assert verify_potentials(inst, q, z, tol=1e-8)
 
 
 class TestVerifyPotentials:
@@ -407,8 +407,8 @@ class TestCompleteness:
     def grid_search_check(self, inst, span=2.0, points=9, tol=1e-6):
         p, report = solve(inst)
         assert report.converged
-        cd = density_from_potentials(inst, p)
-        s = support_set(cd)
+        z = density_from_potentials(inst, p)
+        s = support_set(z)
         d = components(s)
         pd = compute_polytope(inst, p, d, s)
         grids = [np.linspace(p.f[i] - span, p.f[i] + span, points) for i in range(inst.n)]
@@ -416,7 +416,7 @@ class TestCompleteness:
         for f_candidate in np.stack(np.meshgrid(*grids), axis=-1).reshape(-1, inst.n):
             g_candidate = self.recover_g(inst, f_candidate)
             q = Potentials(f=f_candidate, g=g_candidate)
-            if not verify_potentials(inst, q, cd, tol=1e-8):
+            if not verify_potentials(inst, q, z, tol=1e-8):
                 continue
             accepted += 1
             # map back to a shift vector: constant on each component's rows
@@ -444,7 +444,7 @@ class TestSymmetricSlice:
     def test_counterexample_interval_reproduced(self):
         gamma = 1.0
         inst = two_point_ondiag(gamma)
-        p, cd, s, d, pd = analyze(inst, symmetric=True)
+        p, z, s, d, pd = analyze(inst, symmetric=True)
         mirror = mirror_pairing(d)
         assert sorted(mirror) == [0, 1] and mirror[mirror[0]] == 0
         lo, hi = symmetric_shift_interval(pd, mirror, (0, mirror[0]))
@@ -464,7 +464,7 @@ class TestSymmetricSlice:
             cost[2 * t, 2 * t + 1] = cost[2 * t + 1, 2 * t] = rng.uniform(0.0, 1.0)
         w = np.repeat(rng.uniform(0.8, 1.2, k), 2)
         inst = validate_instance(w / w.sum(), w / w.sum(), cost, epsilon=1.0 / (2 * k))
-        p, cd, s, d, pd = analyze(inst, symmetric=True)
+        p, z, s, d, pd = analyze(inst, symmetric=True)
         assert d.count == 2 * k
         mirror = mirror_pairing(d)
         brute = tuple(
@@ -501,7 +501,7 @@ class TestSymmetricSlice:
 
     def test_self_mirrored_component_is_pinned(self):
         inst = validate_instance([0.5, 0.5], [0.5, 0.5], np.zeros((2, 2)))
-        p, cd, s, d, pd = analyze(inst, symmetric=True)
+        p, z, s, d, pd = analyze(inst, symmetric=True)
         mirror = mirror_pairing(d)
         assert mirror == (0,)
         assert symmetric_shift_interval(pd, mirror, (0, 0)) == (0.0, 0.0)

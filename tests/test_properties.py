@@ -28,7 +28,6 @@ from qrot import (
     SolverConfig,
     components,
     compute_polytope,
-    coupling_from_z,
     density_from_potentials,
     primal_objective,
     project,
@@ -93,7 +92,7 @@ def test_solve_converges_with_weak_duality_and_monotone_dual(inst):
     assert np.all(np.diff(values) >= -1e-12 * (1.0 + np.abs(values[:-1])))
     bound = 1e-9 * max(float(np.abs(inst.cost).max()), inst.epsilon)
     # weak duality against the independent coupling, which is feasible
-    independent = coupling_from_z(inst, np.outer(inst.mu_ratio, inst.nu_ratio))
+    independent = np.outer(inst.mu_ratio, inst.nu_ratio)
     assert report.dual_value <= primal_objective(inst, independent) + bound
     assert abs(report.duality_gap) <= bound
 
@@ -103,8 +102,8 @@ def test_solve_converges_with_weak_duality_and_monotone_dual(inst):
 def test_solve_density_matches_projection_oracle(inst):
     p, report = solve(inst, SolverConfig())
     assert report.converged
-    z_solve = density_from_potentials(inst, p).z
-    z_project = project(inst).z
+    z_solve = density_from_potentials(inst, p)
+    z_project = project(inst)
     assert np.max(np.abs(z_solve - z_project)) <= 1e-6 * max(1.0, float(z_solve.max()))
 
 

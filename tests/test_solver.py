@@ -4,7 +4,6 @@ import pytest
 import qrot.solver
 from qrot import (
     Potentials,
-    RowEquation,
     SolverConfig,
     ValidationError,
     density_from_potentials,
@@ -12,7 +11,6 @@ from qrot import (
     marginal_residuals,
     project,
     solve,
-    solve_row_equation,
     solve_symmetric,
     sweep,
     validate_instance,
@@ -29,10 +27,16 @@ from conftest import (
 )
 
 
+def row_root(thresholds, weights, target):
+    """Root of the single marginal equation ``sum_k w[k] (t - th[k])_+ = target``."""
+    roots, _ = _pw_roots(thresholds, weights, [target])
+    return float(roots[0])
+
+
 class TestRowEquation:
     def test_single_breakpoint_pair(self):
-        eq = RowEquation(np.array([0.0, 0.0]), np.array([0.5, 0.5]), 2.0)
-        assert solve_row_equation(eq) == pytest.approx(2.0, abs=1e-14)
+        root = row_root(np.array([0.0, 0.0]), np.array([0.5, 0.5]), 2.0)
+        assert root == pytest.approx(2.0, abs=1e-14)
 
     def test_family_row_recovers_alpha(self):
         # row 0 of the off-diagonal-cost instance against g = (2-a, 2-b):
@@ -40,14 +44,12 @@ class TestRowEquation:
         gamma = 1.0
         for alpha, beta in [(0.7, 0.4), (0.0, 1.0), (-2.0, -1.5)]:
             assert abs(alpha - beta) <= gamma
-            eq = RowEquation(
-                np.array([alpha - 2.0, beta + gamma]), np.array([0.5, 0.5]), 1.0
-            )
-            assert solve_row_equation(eq) == pytest.approx(alpha, abs=1e-13)
+            root = row_root(np.array([alpha - 2.0, beta + gamma]), np.array([0.5, 0.5]), 1.0)
+            assert root == pytest.approx(alpha, abs=1e-13)
 
     def test_boundary_target_lands_on_breakpoint(self):
-        eq = RowEquation(np.array([1.0, 3.0]), np.array([0.25, 0.75]), 0.5)
-        assert solve_row_equation(eq) == pytest.approx(3.0, abs=1e-14)
+        root = row_root(np.array([1.0, 3.0]), np.array([0.25, 0.75]), 0.5)
+        assert root == pytest.approx(3.0, abs=1e-14)
 
     def test_against_bisection_oracle(self):
         rng = np.random.default_rng(0)
@@ -58,7 +60,7 @@ class TestRowEquation:
                 thresholds[1] = thresholds[0]  # exercise tied breakpoints
             weights = rng.uniform(0.1, 2.0, size=k)
             target = float(rng.uniform(0.01, 5.0))
-            root = solve_row_equation(RowEquation(thresholds, weights, target))
+            root = row_root(thresholds, weights, target)
             assert root == pytest.approx(bisect_root(thresholds, weights, target), abs=1e-11)
         # many-row kernel calls: ties, threshold scales 1e-8 to 1e8, m = 1,
         # rectangular shapes, targets far below the thresholds' spacing
@@ -77,14 +79,6 @@ class TestRowEquation:
                     expected = bisect_root(th[r], w, targets[r])
                     assert roots[r] == pytest.approx(expected, abs=tol)
 
-    def test_nonpositive_target_rejected(self):
-        with pytest.raises(ValidationError, match="nonpositive target"):
-            RowEquation(np.array([0.0]), np.array([1.0]), 0.0)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValidationError, match="weights"):
-            RowEquation(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0)
-
 
 class TestSweep:
     def test_first_row_pass_zeroes_row_residuals(self):
@@ -93,8 +87,8 @@ class TestSweep:
         # after the full sweep the column equations hold exactly; check rows
         # against the g used during the row pass by redoing a row-only update
         row_only = Potentials(p.f, np.zeros(2))
-        cd = density_from_potentials(inst, row_only)
-        row, _ = marginal_residuals(inst, cd)
+        z = density_from_potentials(inst, row_only)
+        row, _ = marginal_residuals(inst, z)
         np.testing.assert_allclose(row, 0.0, atol=1e-14)
 
     def test_fixed_point_is_a_potential_pair(self):
@@ -105,8 +99,8 @@ class TestSweep:
         q = sweep(inst, p)
         np.testing.assert_allclose(q.f, p.f, atol=1e-10)
         np.testing.assert_allclose(q.g, p.g, atol=1e-10)
-        cd = density_from_potentials(inst, p)
-        row, col = marginal_residuals(inst, cd)
+        z = density_from_potentials(inst, p)
+        row, col = marginal_residuals(inst, z)
         assert max(np.max(np.abs(row)), np.max(np.abs(col))) <= 1e-12
 
     def test_zero_cost_converges_in_one_sweep(self):
@@ -116,8 +110,8 @@ class TestSweep:
         np.testing.assert_allclose(p.g, 0.0, atol=1e-15)
         q = sweep(inst, p)  # fixed point
         np.testing.assert_allclose(q.f, p.f, atol=1e-15)
-        cd = density_from_potentials(inst, p)
-        np.testing.assert_allclose(cd.z, 1.0, atol=1e-15)
+        z = density_from_potentials(inst, p)
+        np.testing.assert_allclose(z, 1.0, atol=1e-15)
 
     def test_row_update_exactness_invariant(self):
         rng = np.random.default_rng(6)
@@ -138,8 +132,8 @@ class TestSolve:
         p, report = solve(inst)
         assert report.converged
         assert abs(report.duality_gap) <= 1e-10
-        cd = density_from_potentials(inst, p)
-        np.testing.assert_allclose(cd.z, 2.0 * np.eye(2), atol=1e-10)
+        z = density_from_potentials(inst, p)
+        np.testing.assert_allclose(z, 2.0 * np.eye(2), atol=1e-10)
 
     def test_full_support_regime(self):
         for eta in (0.5, 1.0, 1.5):
@@ -149,8 +143,8 @@ class TestSolve:
             p, report = solve(inst)
             assert report.converged
             expected = (1 + eta / 2) * np.eye(2) + (1 - eta / 2) * (1 - np.eye(2))
-            cd = density_from_potentials(inst, p)
-            np.testing.assert_allclose(cd.z, expected, atol=1e-10)
+            z = density_from_potentials(inst, p)
+            np.testing.assert_allclose(z, expected, atol=1e-10)
             # constant potentials summing to 1 + eta/2
             np.testing.assert_allclose(p.f, p.f[0], atol=1e-10)
             np.testing.assert_allclose(p.g, p.g[0], atol=1e-10)
@@ -165,9 +159,9 @@ class TestSolve:
         )
         p, report = solve(inst)
         assert report.converged
-        cd = density_from_potentials(inst, p)
-        cd_proj = project(inst)
-        assert np.max(np.abs(cd.z - cd_proj.z)) <= 1e-6
+        z = density_from_potentials(inst, p)
+        z_proj = project(inst)
+        assert np.max(np.abs(z - z_proj)) <= 1e-6
 
     def test_normalizations(self):
         rng = np.random.default_rng(12)
@@ -177,8 +171,8 @@ class TestSolve:
         p_mean, _ = solve(inst, SolverConfig(normalization="mean_zero_f"))
         assert np.mean(p_mean.f) == pytest.approx(0.0, abs=1e-12)
         # all normalizations give the same density
-        z_a = density_from_potentials(inst, p_anchor).z
-        z_m = density_from_potentials(inst, p_mean).z
+        z_a = density_from_potentials(inst, p_anchor)
+        z_m = density_from_potentials(inst, p_mean)
         np.testing.assert_allclose(z_a, z_m, atol=1e-9)
 
     def test_monotone_dual_ascent(self):
@@ -224,7 +218,7 @@ class TestSolve:
                 init=Potentials(rng.normal(size=5), rng.normal(size=6)),
             )[0],
         ]
-        densities = [density_from_potentials(inst, p).z for p in runs]
+        densities = [density_from_potentials(inst, p) for p in runs]
         for z in densities[1:]:
             assert np.max(np.abs(z - densities[0])) <= 1e-6
 
@@ -325,13 +319,13 @@ class TestNewtonFinalizer:
         # knock the tiny row and column off the support of the optimum
         calls.clear()
         start = Potentials(p.f - np.eye(5)[0], p.g - np.eye(7)[-1])
-        assert not (qrot.solver._density(inst, start)[0] > 0).any()
+        assert not (density_from_potentials(inst, start)[0] > 0).any()
         q, report = solve(inst, SolverConfig(normalization="none"), init=start)
         assert report.converged
         assert calls[0] == (False, True, True)
         assert any(taken for taken, _, _ in calls[1:])
-        z = density_from_potentials(inst, q).z
-        assert np.max(np.abs(z - density_from_potentials(inst, p).z)) <= 1e-9
+        z = density_from_potentials(inst, q)
+        assert np.max(np.abs(z - density_from_potentials(inst, p))) <= 1e-9
 
     @pytest.mark.parametrize("shape", [(7, 12), (12, 7)])
     def test_rectangular(self, monkeypatch, shape):
@@ -340,8 +334,8 @@ class TestNewtonFinalizer:
         p, report = solve(inst)
         assert report.converged
         assert any(taken for taken, _, _ in calls)
-        z = density_from_potentials(inst, p).z
-        assert np.max(np.abs(z - project(inst).z)) <= 1e-6
+        z = density_from_potentials(inst, p)
+        assert np.max(np.abs(z - project(inst))) <= 1e-6
 
     def test_cost_ties(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -352,8 +346,8 @@ class TestNewtonFinalizer:
         p, report = solve(inst)
         assert report.converged
         assert any(taken for taken, _, _ in calls)
-        z = density_from_potentials(inst, p).z
-        assert np.max(np.abs(z - project(inst).z)) <= 1e-6
+        z = density_from_potentials(inst, p)
+        assert np.max(np.abs(z - project(inst))) <= 1e-6
 
     def test_failed_line_searches_leave_the_sweep_solver(self, monkeypatch):
         # with no step length to try, every Newton step is refused
@@ -364,8 +358,8 @@ class TestNewtonFinalizer:
         p, report = solve(inst)
         assert report.converged
         assert calls and not any(taken for taken, _, _ in calls)
-        z = density_from_potentials(inst, p).z
-        z_newton = density_from_potentials(inst, p_newton).z
+        z = density_from_potentials(inst, p)
+        z_newton = density_from_potentials(inst, p_newton)
         assert np.max(np.abs(z - z_newton)) <= 1e-9
 
     def test_dual_decrease_in_a_newton_step_raises(self, monkeypatch):
@@ -374,7 +368,7 @@ class TestNewtonFinalizer:
         def lowering(inst, p, u, z, ref, system):
             q = Potentials(f=p.f - 1.0, g=p.g - 1.0)
             uq = qrot.solver._unclipped_density(inst, q.f, q.g)
-            zq = qrot.solver._density(inst, q)
+            zq = density_from_potentials(inst, q)
             return (q, uq, zq, qrot.solver._dual_value(inst, q, zq)), system
 
         monkeypatch.setattr(qrot.solver, "_newton_step", lowering)
@@ -386,10 +380,10 @@ class TestNewtonFinalizer:
         # and one full Newton step lands on the optimum up to round-off
         inst = one_d_instance(np.random.default_rng(2), 60, 0.01)
         p = Potentials(np.zeros(inst.n), np.zeros(inst.m))
-        z = qrot.solver._density(inst, p)
+        z = density_from_potentials(inst, p)
         while max_residual(inst, z) > 1e-5:
             p = sweep(inst, p)
-            z = qrot.solver._density(inst, p)
+            z = density_from_potentials(inst, p)
         u = qrot.solver._unclipped_density(inst, p.f, p.g)
         (q, uq, zq, dual), _ = qrot.solver._newton_step(inst, p, u, z, inst.ref_weights, None)
         assert np.array_equal(zq > 0, z > 0)
@@ -450,8 +444,8 @@ class TestSolveSymmetric:
         assert report.converged
         assert p.symmetric
         np.testing.assert_array_equal(p.f, p.g)
-        cd = density_from_potentials(inst, p)
-        np.testing.assert_allclose(cd.z, 2.0 * (1 - np.eye(2)), atol=1e-9)
+        z = density_from_potentials(inst, p)
+        np.testing.assert_allclose(z, 2.0 * (1 - np.eye(2)), atol=1e-9)
         assert p.f[0] + p.f[1] == pytest.approx(2.0, abs=1e-9)
         assert 1 - gamma / 2 - 1e-9 <= p.f[0] <= 1 + gamma / 2 + 1e-9
 
@@ -460,8 +454,8 @@ class TestSolveSymmetric:
         p, report = solve_symmetric(inst)
         assert report.converged
         np.testing.assert_allclose(p.f, 0.5, atol=1e-8)
-        cd = density_from_potentials(inst, p)
-        np.testing.assert_allclose(cd.z, 1.0, atol=1e-8)
+        z = density_from_potentials(inst, p)
+        np.testing.assert_allclose(z, 1.0, atol=1e-8)
 
     def test_matches_asymmetric_solver(self):
         rng = np.random.default_rng(18)
@@ -477,8 +471,8 @@ class TestSolveSymmetric:
             assert rep_sym.converged and rep_asym.converged
             np.testing.assert_array_equal(p_sym.f, p_sym.g)
             assert rep_sym.marginal_residual <= SolverConfig().tol_residual
-            z_sym = density_from_potentials(inst, p_sym).z
-            z_asym = density_from_potentials(inst, p_asym).z
+            z_sym = density_from_potentials(inst, p_sym)
+            z_asym = density_from_potentials(inst, p_asym)
             assert np.max(np.abs(z_sym - z_asym)) <= 1e-6
             assert abs(rep_sym.dual_value - rep_asym.dual_value) <= 1e-8
 

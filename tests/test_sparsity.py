@@ -33,12 +33,12 @@ def broadcast_neighborhood_mask(xs, ys, base_mask, delta):
 
 class TestMonotoneCoupling:
     def test_identical_two_point_marginals(self):
-        cd = monotone_coupling_1d([0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5])
-        np.testing.assert_allclose(cd.pi, 0.5 * np.eye(2), atol=1e-15)
+        plan = monotone_coupling_1d([0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5])
+        np.testing.assert_allclose(plan, 0.5 * np.eye(2), atol=1e-15)
 
     def test_order_preserving_shift(self):
-        cd = monotone_coupling_1d([0.0, 1.0], [0.5, 0.5], [0.5, 1.5], [0.5, 0.5])
-        np.testing.assert_allclose(cd.pi, 0.5 * np.eye(2), atol=1e-15)
+        plan = monotone_coupling_1d([0.0, 1.0], [0.5, 0.5], [0.5, 1.5], [0.5, 0.5])
+        np.testing.assert_allclose(plan, 0.5 * np.eye(2), atol=1e-15)
 
     def test_minimizes_quadratic_cost_over_permutations(self):
         rng = np.random.default_rng(0)
@@ -46,7 +46,7 @@ class TestMonotoneCoupling:
             xs = np.sort(rng.uniform(0, 1, 5))
             ys = np.sort(rng.uniform(0, 1, 5))
             w = np.full(5, 0.2)
-            plan = monotone_coupling_1d(xs, w, ys, w).pi
+            plan = monotone_coupling_1d(xs, w, ys, w)
             cost = (xs[:, None] - ys[None, :]) ** 2
             value = float(np.sum(cost * plan))
             best = min(
@@ -89,9 +89,9 @@ class TestEpsilonSweep:
         inst = grid.instance(100.0)
         p, report = solve(inst)
         assert report.converged
-        cd = density_from_potentials(inst, p)
-        assert support_set(cd).mask.all()
-        np.testing.assert_allclose(cd.z, 1.0, atol=0.05)
+        z = density_from_potentials(inst, p)
+        assert support_set(z).mask.all()
+        np.testing.assert_allclose(z, 1.0, atol=0.05)
 
     def test_sweep_value_matches_unit_epsilon_rescaling(self):
         grid = Grid1D.uniform(10)
@@ -134,7 +134,7 @@ class TestNeighborhoodMask:
             xs = np.sort(rng.uniform(0.0, 1.0, n))
             ys = np.sort(rng.uniform(0.0, 1.0, m))
             for base in (
-                monotone_coupling_1d(xs, np.ones(n) / n, ys, np.ones(m) / m).pi > 0,
+                monotone_coupling_1d(xs, np.ones(n) / n, ys, np.ones(m) / m) > 0,
                 rng.random((n, m)) < 0.1,
                 np.zeros((n, m), dtype=bool),
             ):
@@ -168,7 +168,7 @@ class TestNeighborhoodMask:
             xs = np.sort(rng.integers(0, 5, n)) / 4.0
             ys = np.sort(rng.integers(0, 4, m)) / 3.0
             for base in (
-                monotone_coupling_1d(xs, np.ones(n) / n, ys, np.ones(m) / m).pi > 0,
+                monotone_coupling_1d(xs, np.ones(n) / n, ys, np.ones(m) / m) > 0,
                 rng.random((n, m)) < 0.2,
             ):
                 for delta in (0.0, 0.25, 1.0 / 3.0, 0.5):
@@ -181,7 +181,7 @@ class TestNeighborhoodMask:
         xs = (np.arange(n) + rng.uniform(0.0, 1.0, n)) / n
         ys = (np.arange(m) + rng.uniform(0.0, 1.0, m)) / m
         mu, nu = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
-        base = monotone_coupling_1d(xs, mu / mu.sum(), ys, nu / nu.sum()).pi > 0
+        base = monotone_coupling_1d(xs, mu / mu.sum(), ys, nu / nu.sum()) > 0
         for delta in (0.0, 1e-4, 0.1, 0.5, 2.0):
             expected = broadcast_neighborhood_mask(xs, ys, base, delta)
             np.testing.assert_array_equal(_neighborhood_mask(xs, ys, base, delta), expected)
@@ -205,9 +205,9 @@ class TestZeroCostClosedForm:
         inst = validate_instance([0.3, 0.7], [0.6, 0.4], np.zeros((2, 2)))
         result = zero_cost_closed_form(inst)
         assert result is not None
-        p, cd = result
-        np.testing.assert_allclose(cd.z, 1.0, atol=1e-15)
-        np.testing.assert_allclose(cd.pi, np.outer(inst.mu, inst.nu), atol=1e-15)
+        p, z = result
+        np.testing.assert_allclose(z, 1.0, atol=1e-15)
+        np.testing.assert_allclose(z * inst.ref_weights, np.outer(inst.mu, inst.nu), atol=1e-15)
 
     def test_skewed_marginals_marker_and_solver_support(self):
         lam = 0.2
@@ -215,14 +215,14 @@ class TestZeroCostClosedForm:
         assert zero_cost_closed_form(inst) is None
         p, report = solve(inst)
         assert report.converged
-        cd = density_from_potentials(inst, p)
+        z = density_from_potentials(inst, p)
         expected_f = np.array([2 - 4 * lam, -2 + 8 * lam])
         from qrot import Potentials, verify_potentials
 
         assert verify_potentials(
-            inst, Potentials(expected_f, expected_f.copy()), cd, tol=1e-8
+            inst, Potentials(expected_f, expected_f.copy()), z, tol=1e-8
         )
-        mask = support_set(cd).mask
+        mask = support_set(z).mask
         np.testing.assert_array_equal(mask, [[True, True], [True, False]])
 
     def test_above_quarter_closed_form_applies(self):
@@ -230,11 +230,11 @@ class TestZeroCostClosedForm:
         inst = zero_cost_skewed(lam)
         result = zero_cost_closed_form(inst)
         assert result is not None
-        p, cd = result
+        p, z = result
         r = inst.mu_ratio
         expected = r[:, None] + r[None, :] - 1.0
-        np.testing.assert_allclose(cd.z, expected, atol=1e-15)
-        assert np.all(cd.z > 0)
+        np.testing.assert_allclose(z, expected, atol=1e-15)
+        assert np.all(z > 0)
 
     def test_closed_form_verified_against_both_solvers(self):
         rng = np.random.default_rng(3)
@@ -249,12 +249,12 @@ class TestZeroCostClosedForm:
             inst = validate_instance(mu, nu, np.zeros((n, m)))
             result = zero_cost_closed_form(inst)
             assert result is not None  # references equal marginals: ratios are 1
-            p, cd = result
+            p, z = result
             p_solver, rep = solve(inst)
             z_dual = density_from_potentials(inst, p_solver)
             assert verify_potentials(inst, p, z_dual, tol=1e-8)
             z_proj = project(inst)
-            assert np.max(np.abs(cd.z - z_proj.z)) <= 1e-8
+            assert np.max(np.abs(z - z_proj)) <= 1e-8
 
     def test_nonzero_cost_rejected(self):
         inst = validate_instance([0.5, 0.5], [0.5, 0.5], np.eye(2))

@@ -6,7 +6,6 @@ from qrot import (
     Grid1D,
     SupportSet,
     components,
-    coupling_from_z,
     density_from_potentials,
     partition_check,
     solve,
@@ -40,7 +39,7 @@ class TestSupportSet:
 
     def test_constant_density_full_mask(self):
         inst = validate_instance([0.5, 0.5], [0.5, 0.5], np.zeros((2, 2)))
-        s = support_set(coupling_from_z(inst, np.ones((2, 2))))
+        s = support_set(np.ones((2, 2)))
         assert s.mask.all()
 
     def test_skewed_zero_cost_mask(self):
@@ -53,23 +52,23 @@ class TestSupportSet:
     def test_threshold_scales_with_density(self):
         inst = two_point_offdiag(1.0, eps=0.001)
         p, _ = solve(inst)
-        cd = density_from_potentials(inst, p)
-        s = support_set(cd)
-        assert s.tau == pytest.approx(1e-8 * cd.z.max())
+        z = density_from_potentials(inst, p)
+        s = support_set(z)
+        assert s.tau == pytest.approx(1e-8 * z.max())
         np.testing.assert_array_equal(s.mask, np.eye(2, dtype=bool))
 
     def test_negative_threshold_rejected(self):
         inst = two_point_offdiag(1.0)
-        cd = coupling_from_z(inst, np.ones((2, 2)))
+        z = np.ones((2, 2))
         with pytest.raises(Exception, match="nonnegative"):
-            support_set(cd, tau=-1.0)
+            support_set(z, tau=-1.0)
 
     def test_warns_near_threshold(self):
         inst = two_point_offdiag(1.0)
         tau = 0.5
         z = np.array([[1.0, tau], [0.0, 1.0]])  # one entry exactly at the threshold
         with pytest.warns(UserWarning, match="threshold"):
-            support_set(coupling_from_z(inst, z), tau=tau)
+            support_set(z, tau=tau)
 
 
 class TestComponents:
