@@ -24,6 +24,7 @@ exit 1 there. The environment variable ``QROT_SEED`` overrides ``--seed`` of
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -125,7 +126,7 @@ def _analysis_blocks(inst, p, z, tau_rel):
     pd = compute_polytope(inst, p, decomp, s)
     support_block = {"tau": s.tau}
     components_block = {
-        "labels": decomp.labels.tolist(),
+        "labels": decomp.labels,
         "row_projections": [list(t) for t in decomp.row_projections],
         "col_projections": [list(t) for t in decomp.col_projections],
         "count": decomp.count,
@@ -159,11 +160,11 @@ def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel):
             "converged": report.converged,
         },
         "potentials": {
-            "f": p.f.tolist(),
-            "g": p.g.tolist(),
+            "f": p.f,
+            "g": p.g,
             "symmetric": p.symmetric,
         },
-        "density": {"z": z.tolist()},
+        "density": {"z": z},
         "support": support_block,
         "components": components_block,
         "polytope": polytope_block,
@@ -247,8 +248,7 @@ def cmd_analyze(args):
         "polytope": polytope_block,
     }
     if args.samples > 0:
-        shifts = sample_shifts(pd, args.samples, seed)
-        out["sampled_shifts"] = [alpha.tolist() for alpha in shifts]
+        out["sampled_shifts"] = sample_shifts(pd, args.samples, seed)
     out["provenance"] = {"tau_rel": args.tau_rel, "seed": seed}
     _emit(qio.canonical_json(out), args.out)
     return 0
@@ -306,7 +306,10 @@ def cmd_oracle(args):
     return 0 if diff <= args.tol_oracle and report.converged else 2
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process and shared by every ``main``
+    call: ``parse_args`` keeps no state in the parser between calls."""
     parser = argparse.ArgumentParser(
         prog="qrot",
         description="Quadratically regularized optimal transport toolkit",

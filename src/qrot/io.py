@@ -24,8 +24,12 @@ instances and ``support.mask``. They follow from the rest: ``pi`` is
 Serialization is canonical (:func:`canonical_json`): sorted keys, two-space
 indent, shortest round-trip floats, a trailing newline, byte for byte what
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` writes, so
-identical inputs produce byte-identical reports. Infinities in the constraint
-matrices are encoded as the string ``"inf"``.
+identical inputs produce byte-identical reports. Report builders pass numpy
+float and integer arrays as they are; the encoder writes each one as
+``json.dumps`` writes its ``tolist()``, formatting each distinct value once,
+which pays off on the repeated cells of a symmetric cost or density, of the
+component labels and of a sparse density's zeros. Infinities in the
+constraint matrices are encoded as the string ``"inf"``.
 """
 
 import json
@@ -150,18 +154,24 @@ def instance_from_dict(doc):
 
 
 def instance_to_dict(inst, symmetric=False, generator=None):
-    """Instance document of ``inst``; with a generator echo in place of the dense cost."""
+    """Instance document of ``inst`` for :func:`canonical_json`; with a generator
+    echo in place of the dense cost.
+
+    The weights and the cost stay numpy arrays, which ``canonical_json``
+    writes with the bytes of their ``tolist()``; ``json.dumps`` does not take
+    them.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "mu": inst.mu.tolist(),
-        "nu": inst.nu.tolist(),
-        "mu_tilde": inst.mu_tilde.tolist(),
-        "nu_tilde": inst.nu_tilde.tolist(),
+        "mu": inst.mu,
+        "nu": inst.nu,
+        "mu_tilde": inst.mu_tilde,
+        "nu_tilde": inst.nu_tilde,
         "epsilon": inst.epsilon,
         "symmetric": bool(symmetric),
     }
     if generator is None:
-        doc["cost"] = inst.cost.tolist()
+        doc["cost"] = inst.cost
     else:
         doc["generator"] = generator
     return doc
@@ -251,6 +261,37 @@ def _key(k):
     return encode_basestring_ascii(k)
 
 
+def _rows(cells, pad, depth):
+    """``_encode`` of nested lists of ``depth`` levels holding JSON number texts."""
+    inner = pad + "  "
+    if depth > 1:
+        cells = [_rows(row, inner, depth - 1) for row in cells]
+    return "[" + inner + ("," + inner).join(cells) + pad + "]"
+
+
+def _array(arr, pad):
+    """``_encode(arr.tolist(), pad)`` for a float or integer array, formatting
+    each distinct value once."""
+    kind = arr.dtype.kind
+    if not (kind in "iu" or (kind == "f" and arr.dtype.itemsize <= 8)):
+        raise TypeError(f"Object of type ndarray of {arr.dtype} is not JSON serializable")
+    if arr.ndim == 0 or arr.size == 0:
+        return _encode(arr.tolist(), pad)
+    if kind == "f":
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            _float(float(arr[~finite][0]))  # raises json's ValueError
+        # unique bit patterns, so that 0.0 and -0.0 stay apart
+        unique, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+        unique = unique.view(np.float64)
+    else:
+        unique, inverse = np.unique(arr, return_inverse=True)
+    # numpy 1.x returns the inverse flat, 2.x in the shape of its input
+    texts = np.array(list(map(repr, unique.tolist())), dtype=object)
+    return _rows(texts[inverse.reshape(arr.shape)].tolist(), pad, arr.ndim)
+
+
 def _encode(o, pad):
     """JSON text of ``o`` whose first line continues a line; ``pad`` is a newline
     plus the indentation of that line."""
@@ -266,6 +307,8 @@ def _encode(o, pad):
         return int.__repr__(o)
     if isinstance(o, float):
         return _float(o)
+    if isinstance(o, np.ndarray):
+        return _array(o, pad)
     inner = pad + "  "
     sep = "," + inner
     if isinstance(o, (list, tuple)):
@@ -296,5 +339,10 @@ def canonical_json(obj):
     allow_nan=False) + "\\n"``, including its ValueError on nan and infinities
     and its TypeError on unsupported types, but list-joins numbers instead of
     running the json module's pure-Python indenting encoder item by item.
+
+    A numpy float or integer array (of any shape, 0-d and empty included) is
+    written exactly as ``json.dumps`` writes ``arr.tolist()`` at that depth,
+    formatting each distinct value once. An array of any other dtype raises
+    TypeError, and one holding nan or an infinity raises json's ValueError.
     """
     return _encode(obj, "\n") + "\n"

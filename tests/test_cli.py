@@ -30,7 +30,7 @@ from conftest import (
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(doc))
+    path.write_text(canonical_json(doc))
     return str(path)
 
 
@@ -634,6 +634,28 @@ class TestMalformedReports:
         assert captured.out == ""
         assert captured.err.startswith("error: " + message)
         assert captured.err.count("\n") == 1
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; consecutive calls share no state."""
+
+    def test_samples_do_not_carry_over(self, tmp_path):
+        inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        report, out = str(tmp_path / "report.json"), tmp_path / "analysis.json"
+        assert main(["solve", inst_path, "--out", report]) == 0
+        assert main(["analyze", report, "--samples", "3", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["sampled_shifts"]) == 3
+        assert main(["analyze", report, "--out", str(out)]) == 0
+        assert "sampled_shifts" not in json.loads(out.read_text())
+
+    def test_valid_call_after_usage_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["solve", path]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["converged"] is True
 
 
 class TestBlockReportRoundTrip:

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qrot.cli import main
-from qrot.io import canonical_json
-from conftest import schema1_report
+from qrot.io import canonical_json, instance_to_dict
+from conftest import block_instance, random_symmetric_instance, schema1_report
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 FEW = settings(SETTINGS, max_examples=50)
@@ -110,8 +111,68 @@ def test_number_subclasses_take_the_repr_of_their_base():
     assert canonical_json(obj) == reference(obj)
 
 
+def tolist(obj):
+    """``obj`` with every array replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: tolist(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [tolist(v) for v in obj]
+    return obj
+
+
+INT64_EDGES = [0, -1, 2**53 + 1, -(2**63), 2**63 - 1]
+shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+def arrays_from(dtype, values, edges):
+    """Arrays over a small pool of values, the edges among them, so that cells repeat."""
+    pools = st.lists(values, max_size=4).map(lambda extra: edges + extra)
+    return pools.flatmap(lambda pool: hnp.arrays(dtype, shapes, elements=st.sampled_from(pool)))
+
+
+ints64 = st.integers(-(2**63), 2**63 - 1)
+arrays = arrays_from(np.float64, floats, EDGE_FLOATS) | arrays_from(np.int64, ints64, INT64_EDGES)
+array_trees = st.recursive(
+    arrays,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3),
+    max_leaves=5,
+)
+
+
+@SETTINGS
+@given(array_trees)
+def test_arrays_same_bytes_as_their_lists(obj):
+    assert canonical_json(obj) == reference(tolist(obj))
+
+
+@FEW
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3), elements=floats),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=0),
+)
+def test_nonfinite_array_raises_value_error(arr, bad, where):
+    arr = arr.copy()
+    arr.flat[where % arr.size] = bad
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        canonical_json({"a": [1.0, arr]})
+
+
 @pytest.mark.parametrize(
-    "obj", [np.int64(1), [np.bool_(True)], {1, 2}, [1.0, object()], {"k": 1j}, {(1, 2): 0}]
+    "obj",
+    [
+        np.int64(1),
+        [np.bool_(True)],
+        {1, 2},
+        [1.0, object()],
+        {"k": 1j},
+        {(1, 2): 0},
+        np.array([True, False]),
+        np.array([[1j]]),
+        np.array([1.0, 2], dtype=object),
+    ],
 )
 def test_unsupported_types_raise_type_error(obj):
     with pytest.raises(TypeError):
@@ -137,3 +198,33 @@ def test_schema1_report_same_bytes(tmp_path):
     assert canonical_json(report) == reference(report) == out.read_text()
     old = schema1_report(report)
     assert canonical_json(old) == reference(old)
+
+
+def written_as_json_dumps(text):
+    return text == reference(json.loads(text))
+
+
+def test_symmetric_report_same_bytes(tmp_path):
+    # self-transport: cost and density are exactly symmetric, so most cells repeat
+    inst = random_symmetric_instance(np.random.default_rng(5), n=30, eps=0.1)
+    path = tmp_path / "inst.json"
+    path.write_text(canonical_json(instance_to_dict(inst, symmetric=True)))
+    texts = []
+    for name in ("a.json", "b.json"):
+        assert main(["solve", str(path), "--out", str(tmp_path / name)]) == 0
+        texts.append((tmp_path / name).read_text())
+    assert json.loads(texts[0])["instance"]["symmetric"] is True
+    assert written_as_json_dumps(texts[0])
+    assert texts[0] == texts[1]
+
+
+def test_analyze_with_samples_same_bytes(tmp_path):
+    inst = block_instance(np.random.default_rng(6), 10)
+    path = tmp_path / "inst.json"
+    path.write_text(canonical_json(instance_to_dict(inst)))
+    report, out = tmp_path / "report.json", tmp_path / "analysis.json"
+    assert main(["solve", str(path), "--out", str(report)]) == 0
+    assert main(["analyze", str(report), "--samples", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert len(json.loads(text)["sampled_shifts"]) == 2
+    assert written_as_json_dumps(text)
