@@ -1,22 +1,24 @@
 """Command-line surface.
 
-Commands: ``solve`` (full report), ``analyze`` (components and polytope),
-``sweep`` (epsilon schedule to CSV), ``verify`` (membership test for a
-user-supplied potential pair) and ``oracle`` (dual solve against the
-projection solver). Each command takes only the flags its output depends on:
-``--normalization`` belongs to ``solve`` (the only command that writes
-potentials), ``--seed`` to ``analyze`` (the only one that draws random
-numbers), and ``sweep`` takes its epsilons from ``--eps-list`` and its mode
-from the instance. Flags must be spelled out in full; any other flag exits 2
-with argparse's usage message.
+Commands: ``solve`` (report of the solve), ``analyze`` (components and
+polytope of an instance or of a solve report), ``sweep`` (epsilon schedule to
+CSV), ``verify`` (membership test for a user-supplied potential pair) and
+``oracle`` (dual solve against the projection solver). Each command takes
+only the flags its output depends on: ``--normalization`` belongs to
+``solve`` (the only command that writes potentials) and exits 1 on a
+self-transport solve, where the shift cancels in ``(f + g) / 2``; ``--seed``
+and ``--tau-rel`` belong to ``analyze`` (the only command that draws random
+numbers or builds the support), and ``sweep`` takes its epsilons from
+``--eps-list`` and its mode from the instance. Flags must be spelled out in
+full; any other flag exits 2 with argparse's usage message.
 
 Exit codes: 0 success, 1 input error (message names the offending field, or
 the file that is missing, a directory or not readable), 2 non-convergence or
-tolerance failure (a report is still written when one exists; a dual decrease,
-potentials inconsistent with their support and a projection that does not
-converge end here too, and so do ``analyze`` reports whose stored potentials
-miss their marginals), 3 verification rejected. Every error prints one
-``error: ...`` line, never a traceback. ``analyze`` on a report reuses the
+tolerance failure (a report is still written when one exists; a dual decrease
+and a projection that does not converge end here too, and so do ``analyze``
+runs whose potentials are inconsistent with their support or whose stored
+potentials miss their marginals), 3 verification rejected. Every error prints
+one ``error: ...`` line, never a traceback. ``analyze`` on a report reuses the
 report's solve, so ``--eps``, ``--tol``, ``--max-sweeps`` and ``--symmetric``
 exit 1 there. The environment variable ``QROT_SEED`` overrides ``--seed`` of
 ``analyze``; a seed that is negative or not an integer, and a negative
@@ -72,16 +74,6 @@ def _check_nonnegative(value, flag):
         raise ValidationError(f"{flag} must be finite and nonnegative, got {value!r}")
 
 
-def _check_tau_rel(value):
-    """Raise a ValidationError unless ``--tau-rel`` is in [0, 1).
-
-    The support threshold is ``tau_rel * max(z)``, so from 1 on no cell is
-    above it and the report would have no support and no component.
-    """
-    if not 0 <= value < 1:
-        raise ValidationError(f"--tau-rel must be in [0, 1), got {value!r}")
-
-
 def _eps_list(text):
     eps_list = []
     for tok in text.split(","):
@@ -120,34 +112,7 @@ def _solve(inst, symmetric, cfg):
     return solve(inst, cfg)
 
 
-def _analysis_blocks(inst, p, z, tau_rel):
-    s = support_set(z, tau=tau_rel * float(z.max()))
-    decomp = components(s)
-    pd = compute_polytope(inst, p, decomp, s)
-    support_block = {"tau": s.tau}
-    components_block = {
-        "labels": decomp.labels,
-        "row_projections": [list(t) for t in decomp.row_projections],
-        "col_projections": [list(t) for t in decomp.col_projections],
-        "count": decomp.count,
-        "unmatched_rows": list(decomp.unmatched_rows),
-        "unmatched_cols": list(decomp.unmatched_cols),
-    }
-    polytope_block = {
-        "n_components": pd.n_components,
-        "a": qio.encode_extended(pd.a),
-        "dist": qio.encode_extended(pd.dist),
-        "dimension": pd.dimension,
-        "rigid_pairs": [list(pair) for pair in pd.rigid_pairs],
-    }
-    return support_block, components_block, polytope_block, decomp, pd
-
-
-def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel):
-    z = density_from_potentials(inst, p)
-    support_block, components_block, polytope_block, _, _ = _analysis_blocks(
-        inst, p, z, tau_rel
-    )
+def _report_dict(inst, generator, symmetric, p, report, cfg):
     return {
         "schema_version": qio.REPORT_SCHEMA_VERSION,
         "instance": qio.instance_to_dict(inst, symmetric=symmetric, generator=generator),
@@ -164,15 +129,11 @@ def _report_dict(inst, generator, symmetric, p, report, cfg, tau_rel):
             "g": p.g,
             "symmetric": p.symmetric,
         },
-        "density": {"z": z},
-        "support": support_block,
-        "components": components_block,
-        "polytope": polytope_block,
+        "density": {"z": density_from_potentials(inst, p)},
         "provenance": {
             "tol_residual": cfg.tol_residual,
             "max_sweeps": cfg.max_sweeps,
             "normalization": cfg.normalization,
-            "tau_rel": tau_rel,
         },
     }
 
@@ -186,19 +147,24 @@ def _emit(text, out_path):
 
 
 def cmd_solve(args):
-    _check_tau_rel(args.tau_rel)
     loaded = qio.load_instance(args.input)
     inst, symmetric = _instance(loaded, args)
+    if symmetric and args.normalization is not None:
+        raise ValidationError(
+            "a self-transport solve takes no --normalization: the shift cancels in (f + g) / 2"
+        )
     cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
-    doc = _report_dict(inst, loaded.generator, symmetric, p, report, cfg, args.tau_rel)
+    doc = _report_dict(inst, loaded.generator, symmetric, p, report, cfg)
     _emit(qio.canonical_json(doc), args.out)
     return 0 if report.converged else 2
 
 
 def cmd_analyze(args):
     seed = _seed(args)
-    _check_tau_rel(args.tau_rel)
+    if not 0 <= args.tau_rel < 1:
+        # the support threshold is tau_rel * max(z): from 1 on no cell is above it
+        raise ValidationError(f"--tau-rel must be in [0, 1), got {args.tau_rel!r}")
     if args.samples < 0:
         raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
     with open(args.input) as fh:
@@ -239,17 +205,30 @@ def cmd_analyze(args):
                 f" above the report's tol_residual {tol:g}\n"
             )
             return 2
-    support_block, components_block, polytope_block, decomp, pd = _analysis_blocks(
-        inst, p, z, args.tau_rel
-    )
+    s = support_set(z, tau=args.tau_rel * float(z.max()))
+    decomp = components(s)
+    pd = compute_polytope(inst, p, decomp, s)
     out = {
-        "support": support_block,
-        "components": components_block,
-        "polytope": polytope_block,
+        "support": {"tau": s.tau},
+        "components": {
+            "labels": decomp.labels,
+            "row_projections": [list(t) for t in decomp.row_projections],
+            "col_projections": [list(t) for t in decomp.col_projections],
+            "count": decomp.count,
+            "unmatched_rows": list(decomp.unmatched_rows),
+            "unmatched_cols": list(decomp.unmatched_cols),
+        },
+        "polytope": {
+            "n_components": pd.n_components,
+            "a": qio.encode_extended(pd.a),
+            "dist": qio.encode_extended(pd.dist),
+            "dimension": pd.dimension,
+            "rigid_pairs": [list(pair) for pair in pd.rigid_pairs],
+        },
+        "provenance": {"tau_rel": args.tau_rel, "seed": seed},
     }
     if args.samples > 0:
         out["sampled_shifts"] = sample_shifts(pd, args.samples, seed)
-    out["provenance"] = {"tau_rel": args.tau_rel, "seed": seed}
     _emit(qio.canonical_json(out), args.out)
     return 0
 
@@ -334,9 +313,8 @@ def _build_parser():
         )
         return sp
 
-    sp = add_command("solve", cmd_solve, "solve and write a full report")
+    sp = add_command("solve", cmd_solve, "solve and write a report")
     sp.add_argument("--normalization", choices=NORMALIZATIONS, default=None)
-    sp.add_argument("--tau-rel", type=float, default=DEFAULT_TAU_REL, dest="tau_rel")
     sp.add_argument("--out", default=None, help="report path (default: stdout)")
 
     sp = add_command(
@@ -378,7 +356,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except RuntimeError as exc:
-        # a dual decrease in solve, PotentialConsistencyError, ProjectionError
+        # a dual decrease in solve, PotentialConsistencyError in analyze, ProjectionError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

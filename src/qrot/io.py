@@ -1,11 +1,11 @@
 """Instance and report file formats.
 
 Instances are JSON documents with ``schema_version`` 1, weight arrays, an
-``epsilon`` and exactly one of a dense ``cost`` matrix or a ``generator``
-spec.
+``epsilon``, an optional boolean ``symmetric`` and exactly one of a dense
+``cost`` matrix or a ``generator`` spec.
 
-Solve reports carry ``schema_version`` 2 (:data:`REPORT_SCHEMA_VERSION`).
-They hold the paper's objects and nothing that can be rebuilt from them:
+Solve reports carry ``schema_version`` 3 (:data:`REPORT_SCHEMA_VERSION`).
+They hold the solve and nothing that can be rebuilt from it but the density:
 
 - ``instance``: an instance document (``schema_version`` 1) with the
   effective epsilon. A generator instance echoes its validated generator
@@ -13,13 +13,14 @@ They hold the paper's objects and nothing that can be rebuilt from them:
   input keys dropped), which re-expands to a bit-identical cost; a
   dense-cost instance keeps ``cost``;
 - ``report`` (the solve summary), ``potentials`` (``f``, ``g``),
-  ``density.z``, ``support.tau``, ``components`` (with ``labels``),
-  ``polytope`` and ``provenance``.
+  ``density.z`` and ``provenance``.
 
-Schema 1 also stored ``density.pi``, the expanded cost of generator
-instances and ``support.mask``. They follow from the rest: ``pi`` is
-``z * outer(mu_tilde, nu_tilde)`` and the mask is ``components.labels >= 0``.
-:func:`report_from_dict` reads reports of both schemas.
+The support, its components and the polytope of all potentials follow from
+the instance and the potentials; ``qrot analyze report.json`` builds them.
+Schema 2 also stored them (``support.tau``, ``components``, ``polytope``),
+and schema 1 in addition ``density.pi``, the expanded cost of generator
+instances and ``support.mask``. :func:`report_from_dict` reads reports of
+all three schemas and ignores these fields.
 
 Serialization is canonical (:func:`canonical_json`): sorted keys, two-space
 indent, shortest round-trip floats, a trailing newline, byte for byte what
@@ -57,8 +58,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1  # instance documents, also inside reports
-REPORT_SCHEMA_VERSION = 2  # written by ``qrot solve``
-REPORT_SCHEMA_VERSIONS = (1, 2)  # read by ``qrot analyze``
+REPORT_SCHEMA_VERSION = 3  # written by ``qrot solve``
+REPORT_SCHEMA_VERSIONS = (1, 2, 3)  # read by ``qrot analyze``
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,14 @@ def _numeric(doc, key, convert, owner=""):
         raise ValidationError(f"{owner}field {key!r} is not numeric") from None
 
 
+def _symmetric(doc, owner=""):
+    """The optional ``symmetric`` flag of ``doc``: a JSON boolean, false when absent."""
+    value = doc.get("symmetric", False)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{owner}field 'symmetric' must be true or false, got {value!r}")
+    return value
+
+
 def _generator_cost(gen, n, m):
     """Expanded cost, points (quadratic_1d only) and the validated echo of a generator."""
     if not isinstance(gen, dict):
@@ -104,8 +113,11 @@ def _generator_cost(gen, n, m):
                 f"dimension mismatch: generator points have shapes {x.shape}, {y.shape},"
                 f" expected ({n},), ({m},)"
             )
-        echo = {"kind": kind, "x": x.tolist(), "y": y.tolist()}
-        return (x[:, None] - y[None, :]) ** 2, x, y, echo
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = (x[:, None] - y[None, :]) ** 2
+        if not np.isfinite(cost).all():
+            raise ValidationError(f"{owner}points give a nonfinite squared distance")
+        return cost, x, y, {"kind": kind, "x": x.tolist(), "y": y.tolist()}
     if kind == "indicator_offdiag":
         if n != m:
             raise ValidationError(
@@ -124,8 +136,10 @@ def instance_from_dict(doc):
         raise ValidationError(
             f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
         )
-    mu = _numeric(doc, "mu", _floats)
-    nu = _numeric(doc, "nu", _floats)
+    mu, nu = (_numeric(doc, key, _floats) for key in ("mu", "nu"))
+    for key, w in (("mu", mu), ("nu", nu)):
+        if w.ndim != 1 or w.size == 0:  # before a generator reads the sizes
+            raise ValidationError(f"{key} must be a nonempty 1-d array")
     has_cost = "cost" in doc
     has_gen = "generator" in doc
     if has_cost == has_gen:
@@ -146,7 +160,7 @@ def instance_from_dict(doc):
     )
     return LoadedInstance(
         instance=inst,
-        symmetric=bool(doc.get("symmetric", False)),
+        symmetric=_symmetric(doc),
         x=x,
         y=y,
         generator=generator,
@@ -192,11 +206,11 @@ def potentials_from_dict(doc, where):
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} must be a JSON object")
     f, g = (_numeric(doc, key, _floats, f"{where}: ") for key in ("f", "g"))
-    return Potentials(f, g, symmetric=bool(doc.get("symmetric", False)))
+    return Potentials(f, g, symmetric=_symmetric(doc, f"{where}: "))
 
 
 def report_from_dict(doc):
-    """The parts of a solve report (schema 1 or 2) that analysis reuses.
+    """The parts of a solve report (schema 1, 2 or 3) that analysis reuses.
 
     Returns ``(loaded, potentials, tol_residual)``; ``tol_residual`` is the
     report's ``provenance.tol_residual``, or None when the report has none.

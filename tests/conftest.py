@@ -276,6 +276,21 @@ def brute_polytope(inst, p, decomp, s, tol=1e-9):
 # reports
 
 
+def schema2_report(doc, analysis):
+    """The schema-2 report with the content of the schema-3 report ``doc``.
+
+    Schema 2 also stored the ``support``, ``components`` and ``polytope``
+    blocks and ``provenance.tau_rel``, as ``qrot analyze`` writes them for the
+    report; ``analysis`` is that output, parsed.
+    """
+    return {
+        **doc,
+        "schema_version": 2,
+        **{key: analysis[key] for key in ("support", "components", "polytope")},
+        "provenance": {**doc["provenance"], "tau_rel": analysis["provenance"]["tau_rel"]},
+    }
+
+
 def schema1_report(doc):
     """The schema-1 report with the content of the schema-2 report ``doc``.
 

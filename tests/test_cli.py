@@ -25,6 +25,7 @@ from conftest import (
     block_instance,
     random_symmetric_instance,
     schema1_report,
+    schema2_report,
     tiny_eps_symmetric_instance,
 )
 
@@ -144,15 +145,18 @@ class TestInstanceFormat:
 class TestSolveCommand:
     def test_solve_writes_full_report(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
-        rc = main(["solve", path])
-        out = capsys.readouterr().out
-        assert rc == 0
-        doc = json.loads(out)
+        report_path = tmp_path / "report.json"
+        assert main(["solve", path, "--out", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
         assert abs(doc["report"]["duality_gap"]) <= 1e-10
-        support = (np.array(doc["components"]["labels"]) >= 0).astype(int)
+        np.testing.assert_array_equal(np.array(doc["density"]["z"]) > 0, np.eye(2))
+        # the analysis of the solve is analyze's
+        assert main(["analyze", str(report_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        support = (np.array(out["components"]["labels"]) >= 0).astype(int)
         np.testing.assert_array_equal(support, [[1, 0], [0, 1]])
-        assert doc["polytope"]["a"][0][1] == pytest.approx(1.0, abs=1e-9)
-        assert doc["polytope"]["dimension"] == 2
+        assert out["polytope"]["a"][0][1] == pytest.approx(1.0, abs=1e-9)
+        assert out["polytope"]["dimension"] == 2
 
     def test_malformed_weights_exit_one(self, tmp_path, capsys):
         doc = offdiag_doc()
@@ -192,16 +196,54 @@ class TestSolveCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
 
-    def test_inconsistent_potentials_exit_two(self, tmp_path, capsys, monkeypatch):
+    def test_solve_runs_no_analysis(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
 
-        def inconsistent(*args):
+        def inconsistent(*args, **kwargs):
             raise PotentialConsistencyError("a[0,1] = -7.4e-08 < 0")
 
-        monkeypatch.setattr(qrot.cli, "compute_polytope", inconsistent)
+        for name in ("support_set", "components", "compute_polytope"):
+            monkeypatch.setattr(qrot.cli, name, inconsistent)
         rc = main(["solve", path])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: a[0,1] = -7.4e-08 < 0\n"
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["report"]["converged"] is True
+
+    def test_normalization_modes(self, tmp_path, capsys):
+        # the three modes shift the same optimal pair, so the density is the same
+        path = write_json(tmp_path / "inst.json", quadratic_doc(12))
+        pairs = {}
+        for mode in ("anchor_first_component_zero", "mean_zero_f", "none"):
+            assert main(["solve", path, "--eps", "0.05", "--normalization", mode]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["provenance"]["normalization"] == mode
+            pairs[mode] = Potentials(*(np.array(doc["potentials"][key]) for key in "fg"))
+        assert pairs["anchor_first_component_zero"].f[0] == 0.0
+        assert abs(np.mean(pairs["mean_zero_f"].f)) <= 1e-12
+        inst = instance_from_dict(doc["instance"]).instance
+        z = density_from_potentials(inst, pairs["none"])
+        for p in pairs.values():
+            np.testing.assert_allclose(density_from_potentials(inst, p), z, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_normalization_rejected_on_self_transport(self, tmp_path, capsys, monkeypatch, where):
+        # f = g = (f + g) / 2 cancels any shift, so the flag would be ignored
+        inst = random_symmetric_instance(np.random.default_rng(0))
+        path = write_json(tmp_path / "inst.json", instance_to_dict(inst, symmetric=where == "file"))
+        calls = []
+        monkeypatch.setattr(qrot.cli, "solve_symmetric", lambda *args: calls.append(args))
+        flags = ["--symmetric"] if where == "flag" else []
+        out = tmp_path / "report.json"
+        rc = main(["solve", path, *flags, "--normalization", "none", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "error: a self-transport solve takes no --normalization:"
+            " the shift cancels in (f + g) / 2\n"
+        )
+        assert calls == []
+        assert not out.exists()
 
     def test_dual_decrease_exit_two(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
@@ -275,6 +317,36 @@ class TestAnalyzeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["components"]["count"] == 2
+
+    def test_inconsistent_potentials_exit_two(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+
+        def inconsistent(*args):
+            raise PotentialConsistencyError("a[0,1] = -7.4e-08 < 0")
+
+        monkeypatch.setattr(qrot.cli, "compute_polytope", inconsistent)
+        out = tmp_path / "analysis.json"
+        rc = main(["analyze", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: a[0,1] = -7.4e-08 < 0\n"
+        assert not out.exists()
+
+    def test_report_without_tol_residual(self, tmp_path, capsys):
+        # reports without provenance.tol_residual are checked at the default tolerance
+        inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        report_path = tmp_path / "report.json"
+        assert main(["solve", inst_path, "--out", str(report_path)]) == 0
+        assert main(["analyze", str(report_path)]) == 0
+        expected = capsys.readouterr().out
+        doc = json.loads(report_path.read_text())
+        del doc["provenance"]["tol_residual"]
+        write_json(report_path, doc)
+        assert main(["analyze", str(report_path)]) == 0
+        assert capsys.readouterr().out == expected
+        doc["potentials"]["f"][0] += 1e-6
+        write_json(report_path, doc)
+        assert main(["analyze", str(report_path)]) == 2
+        assert capsys.readouterr().err.endswith(" above the report's tol_residual 1e-10\n")
 
     def test_tampered_report_exit_two(self, tmp_path, capsys):
         inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
@@ -411,6 +483,7 @@ class TestSweepCommand:
             pytest.param("verify", ["--seed", "1"], id="verify"),
             pytest.param("oracle", ["--seed", "1"], id="oracle"),
             pytest.param("solve", ["--seed", "1"], id="solve-seed"),
+            pytest.param("solve", ["--tau-rel", "0.5"], id="solve-tau-rel"),
             pytest.param("analyze", ["--normalization", "none"], id="analyze-normalization"),
             pytest.param("verify", ["--normalization", "none"], id="verify-normalization"),
             pytest.param("oracle", ["--normalization", "none"], id="oracle-normalization"),
@@ -419,9 +492,10 @@ class TestSweepCommand:
         ],
     )
     def test_seed_unrecognized(self, tmp_path, capsys, command, flag):
-        # only analyze draws random numbers, so only it takes --seed; only solve
-        # writes potentials, so only it takes --normalization; sweep takes its
-        # epsilons from --eps-list and its mode from the instance
+        # only analyze draws random numbers or builds the support, so only it
+        # takes --seed and --tau-rel; only solve writes potentials, so only it
+        # takes --normalization; sweep takes its epsilons from --eps-list and
+        # its mode from the instance
         path = write_json(tmp_path / "grid.json", quadratic_doc(8))
         extra = {
             "sweep": ["--eps-list", "1,0.1", "--delta", "0.2", "--out", str(tmp_path / "x.csv")],
@@ -458,7 +532,7 @@ class TestSweepCommand:
 
 
 class TestNumericFlags:
-    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    @pytest.mark.parametrize("command", ["analyze"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1", "2"])
     def test_bad_tau_rel_exit_one_before_solving(self, tmp_path, capsys, command, value):
         # tau = tau_rel * max z, so tau_rel >= 1 would leave no support at all;
@@ -516,7 +590,7 @@ class TestNumericFlags:
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         # the zero densities sit on a zero threshold, which support_set flags
         with pytest.warns(UserWarning, match="support threshold"):
-            assert main(["solve", path, "--tau-rel", "0"]) == 0
+            assert main(["analyze", path, "--tau-rel", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["support"]["tau"] == 0.0
 
 
@@ -530,13 +604,17 @@ def solve_report(tmp_path, doc, *flags):
 
 class TestReportSchema:
     def test_schema2_drops_derived_fields(self, tmp_path):
+        # schema 3 keeps out what schema 2 dropped, and the analysis too
         _, doc = solve_report(tmp_path, offdiag_doc(1.0))
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
+        assert set(doc) == {
+            "schema_version", "instance", "report", "potentials", "density", "provenance"
+        }
+        assert set(doc["provenance"]) == {"tol_residual", "max_sweeps", "normalization"}
         assert doc["instance"]["schema_version"] == 1
         assert doc["instance"]["generator"] == {"kind": "indicator_offdiag", "gamma": 1.0}
         assert "cost" not in doc["instance"]
         assert set(doc["density"]) == {"z"}
-        assert set(doc["support"]) == {"tau"}
 
     def test_dense_cost_instance_keeps_cost(self, tmp_path):
         inst = random_symmetric_instance(np.random.default_rng(0))
@@ -545,14 +623,16 @@ class TestReportSchema:
         assert "generator" not in doc["instance"]
 
     def test_analyze_same_bytes_on_schema1_and_schema2(self, tmp_path, capsys):
+        # and on schema 3: analyze reads only the instance, potentials and provenance
         new_path, doc = solve_report(tmp_path, quadratic_doc(40), "--eps", "0.01")
-        old_path = write_json(tmp_path / "old.json", schema1_report(doc))
-        outputs = []
-        for path in (old_path, str(new_path)):
-            assert main(["analyze", path, "--samples", "2"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert set(json.loads(outputs[0])["support"]) == {"tau"}
+        assert main(["analyze", str(new_path), "--samples", "2"]) == 0
+        expected = capsys.readouterr().out
+        schema2 = schema2_report(doc, json.loads(expected))
+        for old in (schema2, schema1_report(schema2)):
+            old_path = write_json(tmp_path / "old.json", old)
+            assert main(["analyze", old_path, "--samples", "2"]) == 0
+            assert capsys.readouterr().out == expected
+        assert set(json.loads(expected)["support"]) == {"tau"}
 
     @pytest.mark.parametrize(
         "generator",
@@ -617,11 +697,16 @@ class TestMalformedReports:
             (_set("none", "provenance"), "report field 'provenance' must be a JSON object"),
             (_set("abc", "provenance", "tol_residual"), "report field 'provenance': field"),
             (_set(-1.0, "provenance", "tol_residual"), "report tol_residual must be finite"),
-            (_set(3, "schema_version"), "report schema_version must be one of (1, 2), got 3"),
-            (_drop("schema_version"), "report schema_version must be one of (1, 2), got None"),
+            (_set(4, "schema_version"), "report schema_version must be one of (1, 2, 3), got 4"),
+            (_drop("schema_version"), "report schema_version must be one of (1, 2, 3), got None"),
             (_set(5, "instance", "generator"), "generator must be a JSON object"),
             (_set("abc", "instance", "generator", "gamma"), "generator indicator_offdiag: field"),
             (_set(["a", "b"], "instance", "mu"), "field 'mu' is not numeric"),
+            (_set("false", "instance", "symmetric"), "field 'symmetric' must be true or false"),
+            (
+                _set("false", "potentials", "symmetric"),
+                "report field 'potentials': field 'symmetric' must be true or false, got 'false'",
+            ),
         ],
     )
     def test_analyze_exit_one(self, tmp_path, capsys, edit, message):
@@ -634,6 +719,115 @@ class TestMalformedReports:
         assert captured.out == ""
         assert captured.err.startswith("error: " + message)
         assert captured.err.count("\n") == 1
+
+
+def _instance_text(base=None, **fields):
+    return json.dumps({**(base or offdiag_doc(1.0)), **fields})
+
+
+def _quadratic_text(x, y):
+    return _instance_text(quadratic_doc(len(y)), generator={"kind": "quadratic_1d", "x": x, "y": y})
+
+
+BAD_JSON = "invalid JSON in {path}: "
+BAD_SYMMETRIC = "field 'symmetric' must be true or false, got "
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            pytest.param("solve", '{"mu": [0.5,', BAD_JSON, id="instance-json"),
+            pytest.param("analyze", '{"potentials": }', BAD_JSON, id="report-json"),
+            pytest.param("verify", '{"f": [0.0', BAD_JSON, id="potentials-json"),
+            pytest.param(
+                "solve", "[1, 2]", "instance document must be a JSON object", id="instance-list"
+            ),
+            pytest.param(
+                "analyze", '"report"', "instance document must be a JSON object", id="report-str"
+            ),
+            pytest.param(
+                "verify",
+                "[0.0]",
+                "potentials file {path} must be a JSON object",
+                id="potentials-list",
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(generator={"kind": "cubic"}),
+                "unknown generator kind 'cubic'",
+                id="generator-kind",
+            ),
+            pytest.param(
+                "solve",
+                _quadratic_text([0, 1, 2], [0, 1, 2, 3]),
+                "dimension mismatch: generator points have shapes (3,), (4,), expected (4,), (4,)",
+                id="quadratic-points-length",
+            ),
+            pytest.param(
+                "solve",
+                _quadratic_text([1e200, 0], [0, 1]),
+                "generator quadratic_1d: points give a nonfinite squared distance",
+                id="quadratic-points-overflow",
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(nu=[0.25] * 4),
+                "dimension mismatch: indicator_offdiag needs square instances, got (2, 4)",
+                id="offdiag-not-square",
+            ),
+            pytest.param(
+                "solve", _instance_text(mu=None), "mu must be a nonempty 1-d array", id="mu-null"
+            ),
+            pytest.param(
+                "solve", _instance_text(mu=[]), "mu must be a nonempty 1-d array", id="mu-empty"
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(mu_tilde=[1.0]),
+                "dimension mismatch: mu_tilde has length 1, expected 2",
+                id="mu-tilde-length",
+            ),
+            pytest.param(
+                "solve", _instance_text(epsilon="abc"), "nonpositive epsilon", id="epsilon"
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(symmetric="false"),
+                BAD_SYMMETRIC + "'false'",
+                id="instance-symmetric-str",
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(symmetric=None),
+                BAD_SYMMETRIC + "None",
+                id="instance-symmetric-null",
+            ),
+            pytest.param(
+                "verify",
+                json.dumps({"f": [0.0, 0.0], "g": [0.0, 0.0], "symmetric": 1}),
+                "potentials file {path}: " + BAD_SYMMETRIC + "1",
+                id="potentials-symmetric-int",
+            ),
+        ],
+    )
+    def test_exit_one(self, tmp_path, capsys, monkeypatch, command, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        calls = []
+        for name in ("solve", "solve_symmetric"):
+            monkeypatch.setattr(qrot.cli, name, lambda *args: calls.append(args))
+        argv = [command, str(path)]
+        if command == "verify":
+            inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+            argv = ["verify", inst_path, "--potentials", str(path)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(path=path))
+        assert captured.err.count("\n") == 1
+        assert calls == []
 
 
 class TestParserReuse:

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from qrot.cli import main
 from qrot.io import canonical_json, instance_to_dict
-from conftest import block_instance, random_symmetric_instance, schema1_report
+from conftest import block_instance, random_symmetric_instance, schema1_report, schema2_report
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 FEW = settings(SETTINGS, max_examples=50)
@@ -182,7 +182,8 @@ def test_unsupported_types_raise_type_error(obj):
 
 
 def test_schema1_report_same_bytes(tmp_path):
-    # a report in the former schema, with cost, pi and mask, of a 40-point instance
+    # reports in the former schemas: with the analysis, and also cost, pi and mask,
+    # of a 40-point instance
     n = 40
     rng = np.random.default_rng(3)
     x = np.sort(rng.uniform(size=n)).tolist()
@@ -192,12 +193,14 @@ def test_schema1_report_same_bytes(tmp_path):
            "generator": {"kind": "quadratic_1d", "x": x, "y": x}}
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
-    out = tmp_path / "report.json"
+    out, analysis = tmp_path / "report.json", tmp_path / "analysis.json"
     assert main(["solve", str(path), "--out", str(out)]) == 0
+    assert main(["analyze", str(out), "--out", str(analysis)]) == 0
     report = json.loads(out.read_text())
     assert canonical_json(report) == reference(report) == out.read_text()
-    old = schema1_report(report)
-    assert canonical_json(old) == reference(old)
+    schema2 = schema2_report(report, json.loads(analysis.read_text()))
+    for old in (schema2, schema1_report(schema2)):
+        assert canonical_json(old) == reference(old)
 
 
 def written_as_json_dumps(text):
