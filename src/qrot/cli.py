@@ -220,8 +220,8 @@ def cmd_analyze(args):
         },
         "polytope": {
             "n_components": pd.n_components,
-            "a": qio.encode_extended(pd.a),
-            "dist": qio.encode_extended(pd.dist),
+            "a": pd.a,
+            "dist": pd.dist,
             "dimension": pd.dimension,
             "rigid_pairs": [list(pair) for pair in pd.rigid_pairs],
         },

@@ -27,10 +27,10 @@ indent, shortest round-trip floats, a trailing newline, byte for byte what
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` writes, so
 identical inputs produce byte-identical reports. Report builders pass numpy
 float and integer arrays as they are; the encoder writes each one as
-``json.dumps`` writes its ``tolist()``, formatting each distinct value once,
-which pays off on the repeated cells of a symmetric cost or density, of the
-component labels and of a sparse density's zeros. Infinities in the
-constraint matrices are encoded as the string ``"inf"``.
+``json.dumps`` writes its ``tolist()``, formatting each distinct number of
+the document once, which pays off on the repeated cells of a symmetric cost
+or density, of the component labels, of a sparse density's zeros and of the
+polytope's ``a`` and its closure ``dist``, which share most of their values.
 """
 
 import json
@@ -53,7 +53,6 @@ __all__ = [
     "potentials_from_dict",
     "report_from_dict",
     "canonical_json",
-    "encode_extended",
     "decode_extended",
 ]
 
@@ -236,17 +235,11 @@ def report_from_dict(doc):
     return loaded, p, tol
 
 
-def encode_extended(matrix):
-    """Matrix to nested lists with infinities (of either sign) encoded as the string "inf"."""
-    arr = np.asarray(matrix, dtype=float)
-    out = arr.tolist()
-    for i, j in np.argwhere(np.isinf(arr)).tolist():
-        out[i][j] = "inf"
-    return out
-
-
 def decode_extended(rows):
-    """Inverse of :func:`encode_extended`; entries must be numbers or the string "inf"."""
+    """A matrix of an older analysis file, which wrote an infinity as the string "inf".
+
+    Entries must be numbers or the string "inf".
+    """
     try:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -257,6 +250,7 @@ def decode_extended(rows):
 
 
 _PLAIN_NUMBERS = {float, int}
+_LEAVES = (str, int, float, type(None))
 
 
 def _float(o):
@@ -271,8 +265,62 @@ def _key(k):
             raise TypeError(
                 f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
             )
-        k = _encode(k, "")
+        k = _encode(k, "", None)
     return encode_basestring_ascii(k)
+
+
+def _float_arrays(o, found):
+    """Add every float array of ``o`` that has cells to ``found``, keyed by ``id``."""
+    if isinstance(o, np.ndarray):
+        if o.dtype.kind == "f" and o.dtype.itemsize <= 8 and o.ndim and o.size:
+            found[id(o)] = o
+    elif isinstance(o, dict):
+        for v in o.values():
+            _float_arrays(v, found)
+    elif isinstance(o, (list, tuple)):
+        for v in o:
+            if not isinstance(v, _LEAVES):
+                _float_arrays(v, found)
+
+
+class _FloatTexts:
+    """The number texts of the cells of one document's float arrays.
+
+    One sort of the bit patterns of all of them, so that 0.0 and -0.0 stay
+    apart, and one ``repr`` per distinct value. An array's texts are taken
+    from that table only when it is written, so those of one array at a time
+    are held.
+    """
+
+    def __init__(self, doc):
+        found = {}
+        _float_arrays(doc, found)
+        self._index = {}
+        if not found:
+            return
+        arrays = list(found.values())
+        bits = np.concatenate([a.reshape(-1) for a in arrays], dtype=np.float64).view(np.uint64)
+        # np.unique(bits, return_inverse=True), holding fewer copies of the cells
+        # at once; an int32 index suffices, since the texts alone of 2**31 cells
+        # would take 16 GB
+        order = bits.argsort()
+        bits = bits[order]
+        first = np.empty(bits.size, dtype=bool)
+        first[0] = True
+        np.not_equal(bits[1:], bits[:-1], out=first[1:])
+        unique = bits[first]
+        del bits
+        inverse = np.empty(order.size, dtype=np.int32)
+        inverse[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order, first
+        self._texts = np.array(list(map(repr, unique.view(np.float64).tolist())), dtype=object)
+        stops = np.cumsum([a.size for a in arrays]).tolist()
+        for key, start, stop in zip(found, [0, *stops], stops):
+            self._index[key] = inverse[start:stop]
+
+    def cells(self, arr):
+        """Nested lists of the texts of the cells of ``arr``, as ``arr.tolist()`` nests them."""
+        return self._texts[self._index[id(arr)]].reshape(arr.shape).tolist()
 
 
 def _rows(cells, pad, depth):
@@ -280,35 +328,34 @@ def _rows(cells, pad, depth):
     inner = pad + "  "
     if depth > 1:
         cells = [_rows(row, inner, depth - 1) for row in cells]
-    return "[" + inner + ("," + inner).join(cells) + pad + "]"
+    return "".join(("[", inner, ("," + inner).join(cells), pad, "]"))
 
 
-def _array(arr, pad):
-    """``_encode(arr.tolist(), pad)`` for a float or integer array, formatting
-    each distinct value once."""
+def _array(arr, pad, floats):
+    """``_encode(arr.tolist(), pad)`` for a float or integer array; a float array
+    takes its texts from ``floats``, an integer array formats each of its
+    distinct values once."""
     kind = arr.dtype.kind
     if not (kind in "iu" or (kind == "f" and arr.dtype.itemsize <= 8)):
         raise TypeError(f"Object of type ndarray of {arr.dtype} is not JSON serializable")
     if arr.ndim == 0 or arr.size == 0:
-        return _encode(arr.tolist(), pad)
+        return _encode(arr.tolist(), pad, None)
     if kind == "f":
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
         finite = np.isfinite(arr)
         if not finite.all():
             _float(float(arr[~finite][0]))  # raises json's ValueError
-        # unique bit patterns, so that 0.0 and -0.0 stay apart
-        unique, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
-        unique = unique.view(np.float64)
+        cells = floats.cells(arr)
     else:
-        unique, inverse = np.unique(arr, return_inverse=True)
-    # numpy 1.x returns the inverse flat, 2.x in the shape of its input
-    texts = np.array(list(map(repr, unique.tolist())), dtype=object)
-    return _rows(texts[inverse.reshape(arr.shape)].tolist(), pad, arr.ndim)
+        unique, inverse = np.unique(arr.reshape(-1), return_inverse=True)
+        texts = np.array(list(map(repr, unique.tolist())), dtype=object)
+        cells = texts[inverse].reshape(arr.shape).tolist()
+    return _rows(cells, pad, arr.ndim)
 
 
-def _encode(o, pad):
+def _encode(o, pad, floats):
     """JSON text of ``o`` whose first line continues a line; ``pad`` is a newline
-    plus the indentation of that line."""
+    plus the indentation of that line, and ``floats`` the :class:`_FloatTexts`
+    of the document."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -322,7 +369,7 @@ def _encode(o, pad):
     if isinstance(o, float):
         return _float(o)
     if isinstance(o, np.ndarray):
-        return _array(o, pad)
+        return _array(o, pad, floats)
     inner = pad + "  "
     sep = "," + inner
     if isinstance(o, (list, tuple)):
@@ -336,13 +383,15 @@ def _encode(o, pad):
             if "n" in body:
                 body = None  # the per-item route raises on the first one
         if body is None:
-            body = sep.join([_encode(v, inner) for v in o])
-        return "[" + inner + body + pad + "]"
+            body = sep.join([_encode(v, inner, floats) for v in o])
+        return "".join(("[", inner, body, pad, "]"))  # copies body once, + would twice
     if isinstance(o, dict):
         if not o:
             return "{}"
-        body = sep.join([_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())])
-        return "{" + inner + body + pad + "}"
+        body = sep.join(
+            [_key(k) + ": " + _encode(v, inner, floats) for k, v in sorted(o.items())]
+        )
+        return "".join(("{", inner, body, pad, "}"))
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -355,8 +404,10 @@ def canonical_json(obj):
     running the json module's pure-Python indenting encoder item by item.
 
     A numpy float or integer array (of any shape, 0-d and empty included) is
-    written exactly as ``json.dumps`` writes ``arr.tolist()`` at that depth,
-    formatting each distinct value once. An array of any other dtype raises
-    TypeError, and one holding nan or an infinity raises json's ValueError.
+    written exactly as ``json.dumps`` writes ``arr.tolist()`` at that depth.
+    Each distinct value of the document's float arrays is formatted once, and
+    each distinct value of an integer array once per array. An array of any
+    other dtype raises TypeError, and one holding nan or an infinity raises
+    json's ValueError.
     """
-    return _encode(obj, "\n") + "\n"
+    return _encode(obj, "\n", _FloatTexts(obj)) + "\n"

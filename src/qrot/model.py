@@ -16,6 +16,7 @@ parameterization stays bounded as ``epsilon`` shrinks, which is what the
 sparsity experiments rely on.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -121,8 +122,9 @@ def validate_instance(mu, nu, cost, mu_tilde=None, nu_tilde=None, epsilon=1.0):
     Raises
     ------
     ValidationError
-        On dimension mismatch, nonpositive weight, nonfinite cost entry or
-        nonpositive epsilon; the message names the offending field and index.
+        On dimension mismatch, nonpositive weight, nonfinite cost entry or an
+        epsilon that is not a number, not finite or not positive; the message
+        names the offending field and index.
     """
     mu = _normalized_weights(mu, "mu")
     nu = _normalized_weights(nu, "nu")
@@ -149,13 +151,6 @@ def validate_instance(mu, nu, cost, mu_tilde=None, nu_tilde=None, epsilon=1.0):
         i, j = bad[0]
         raise ValidationError(f"nonfinite cost at cost[{i},{j}]")
 
-    try:
-        epsilon = float(epsilon)
-    except (TypeError, ValueError):
-        raise ValidationError("nonpositive epsilon") from None
-    if not np.isfinite(epsilon) or epsilon <= 0:
-        raise ValidationError("nonpositive epsilon")
-
     return Instance(
         n=n,
         m=m,
@@ -164,16 +159,27 @@ def validate_instance(mu, nu, cost, mu_tilde=None, nu_tilde=None, epsilon=1.0):
         mu_tilde=_frozen(mu_tilde),
         nu_tilde=_frozen(nu_tilde),
         cost=_frozen(cost),
-        epsilon=epsilon,
+        epsilon=_epsilon(epsilon),
     )
+
+
+def _epsilon(epsilon):
+    """``epsilon`` as a float; a ValidationError naming the fault unless it is
+    a finite positive number."""
+    try:
+        value = float(epsilon)
+    except (TypeError, ValueError):
+        raise ValidationError(f"epsilon must be a number, got {epsilon!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError("nonfinite epsilon")
+    if value <= 0:
+        raise ValidationError("nonpositive epsilon")
+    return value
 
 
 def with_epsilon(inst, epsilon):
     """Copy of the instance with a different regularization strength."""
-    epsilon = float(epsilon)
-    if not np.isfinite(epsilon) or epsilon <= 0:
-        raise ValidationError("nonpositive epsilon")
-    return replace(inst, epsilon=epsilon)
+    return replace(inst, epsilon=_epsilon(epsilon))
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,17 @@ class PolytopeDescription:
     """Constraint matrix ``a``, its shortest-path closure and rigidity data.
 
     ``a[i, j]`` is the smallest slack ``-u`` (the negated unclipped density)
-    over the off-support cells of block ``(i, j)``, floored at 0, or ``+inf``
-    when there is none; ``a[i, i] = 0``. ``dist[i, j]`` is the tightest
-    implied upper bound on ``alpha[i] - alpha[j]``. ``dimension`` counts the
-    rigidity classes; it equals the number of components when no pair is
-    forced equal and is always at least one.
+    over the off-support cells of block ``(i, j)``, floored at 0;
+    ``a[i, i] = 0``. ``dist[i, j]`` is the tightest implied upper bound on
+    ``alpha[i] - alpha[j]``. ``dimension`` counts the rigidity classes; it
+    equals the number of components when no pair is forced equal and is
+    always at least one.
+
+    From :func:`compute_polytope`, ``a`` and ``dist`` are finite: every
+    component has a row and a column, so every block has cells, and a slack
+    that overflows is rejected. A description built by hand may leave the
+    difference of a pair unbounded with ``+inf``; :func:`sample_shifts` and
+    :func:`symmetric_shift_interval` accept it.
     """
 
     n_components: int
@@ -113,13 +119,18 @@ def compute_polytope(inst, p, decomp, s):
     epsilon`` of ``p`` over the block ``rows(C_i) x cols(C_j)``, whose cells
     are all off the support. Such a cell has ``u <= s.tau``, so slacks in
     ``[-s.tau, 0)`` are floored at 0 and ``alpha = 0`` stays feasible.
-    Rigidity is decided to ``RIGID_TOL``.
+    Every block has cells, so every slack exists, and ``a`` and its closure
+    ``dist`` are finite. Rigidity is decided to ``RIGID_TOL``.
 
     Raises
     ------
     PotentialConsistencyError
         If some slack is below ``-max(RIGID_TOL, s.tau)``, which can happen
         only when the potentials and the support come from different densities.
+    ValidationError
+        If some slack is not finite: ``(f + g - cost) / epsilon`` overflows
+        on every cell of its block, as when ``cost / epsilon`` nears the
+        float range.
     """
     count = decomp.count
     row_label, col_label = _axis_labels(decomp)
@@ -139,6 +150,12 @@ def compute_polytope(inst, p, decomp, s):
         )
     # with a >= 0 the closure has no negative cycle and a zero diagonal
     np.maximum(a, 0.0, out=a)
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValidationError(
+            f"slack a[{i},{j}] is not finite: (f + g - cost) / epsilon overflows"
+            f" at epsilon {inst.epsilon!r}"
+        )
 
     dist = _floyd_warshall(a)
     rigid_mask = dist + dist.T <= RIGID_TOL
@@ -184,13 +201,15 @@ def sample_shifts(pd, k, seed):
     finite = np.isfinite(dist)
     big = float(np.max(np.abs(dist[finite]))) + 1.0 if finite.any() else 1.0
 
+    bounded = finite.all()  # then both sides are finite and need no cut
     u = rng.random((max(k, 0), count))
     alpha = np.zeros_like(u)
     for i in range(1, count):
         lo = np.max(alpha[:, :i] - dist[:i, i], axis=1)
         hi = np.min(alpha[:, :i] + dist[i, :i], axis=1)
-        lo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, big) - 2.0 * big)
-        hi = np.where(np.isfinite(hi), hi, lo + 2.0 * big)
+        if not bounded:
+            lo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, big) - 2.0 * big)
+            hi = np.where(np.isfinite(hi), hi, lo + 2.0 * big)
         alpha[:, i] = lo + (hi - lo) * u[:, i]
 
     for row in alpha:

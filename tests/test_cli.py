@@ -15,7 +15,6 @@ from qrot.cli import main
 from qrot.io import (
     canonical_json,
     decode_extended,
-    encode_extended,
     instance_from_dict,
     instance_to_dict,
 )
@@ -116,25 +115,39 @@ class TestInstanceFormat:
         again = instance_from_dict(instance_to_dict(loaded.instance))
         np.testing.assert_array_equal(again.instance.cost, loaded.instance.cost)
 
-    def test_extended_matrix_encoding(self):
-        a = np.array([[0.0, math.inf], [1.25, 0.0]])
-        encoded = encode_extended(a)
-        assert encoded[0][1] == "inf"
-        np.testing.assert_array_equal(decode_extended(encoded), a)
-
-    def test_extended_matrix_encoding_matches_entrywise_loop(self):
+    def test_extended_matrix_decoding(self):
+        # older analysis files wrote an absent constraint, of either sign, as "inf"
         rng = np.random.default_rng(2)
-        assert encode_extended(np.zeros((0, 0))) == []
+        assert decode_extended([]).size == 0
         for shape in ((1, 1), (5, 5), (3, 40), (40, 40)):
             a = rng.normal(size=shape)
             a[rng.random(shape) < 0.2] = math.inf
             a[rng.random(shape) < 0.05] = -math.inf
-            loop = [["inf" if math.isinf(v) else float(v) for v in row] for row in a]
-            encoded = encode_extended(a)
-            assert encoded == loop
-            assert all(type(v) in (float, str) for row in encoded for v in row)
-            # any infinity is written as "inf", so decoding gives +inf
-            np.testing.assert_array_equal(decode_extended(encoded), np.where(np.isinf(a), math.inf, a))
+            rows = [["inf" if math.isinf(v) else float(v) for v in row] for row in a]
+            decoded = decode_extended(json.loads(json.dumps(rows)))
+            np.testing.assert_array_equal(decoded, np.where(np.isinf(a), math.inf, a))
+
+    def test_analysis_matrices_round_trip(self, tmp_path, capsys):
+        # analyze writes a and dist as plain numbers; decoding gives back their bits
+        inst = block_instance(np.random.default_rng(9), 6)
+        p, _ = qrot.solver.solve(inst)
+        report = write_json(
+            tmp_path / "report.json",
+            {
+                "schema_version": 3,
+                "instance": instance_to_dict(inst),
+                "potentials": {"f": p.f, "g": p.g, "symmetric": False},
+            },
+        )
+        assert main(["analyze", report]) == 0
+        poly = json.loads(capsys.readouterr().out)["polytope"]
+        z = density_from_potentials(inst, p)
+        s = qrot.cli.support_set(z, tau=qrot.cli.DEFAULT_TAU_REL * float(z.max()))
+        pd = qrot.cli.compute_polytope(inst, p, qrot.cli.components(s), s)
+        for key in ("a", "dist"):
+            decoded = decode_extended(poly[key])
+            assert decoded.shape == (6, 6) and np.isfinite(decoded).all()
+            np.testing.assert_array_equal(decoded.view(np.uint64), getattr(pd, key).view(np.uint64))
 
     @pytest.mark.parametrize("entry", [None, "abc", "nan"])
     def test_extended_matrix_rejects_non_numbers(self, entry):
@@ -299,6 +312,21 @@ class TestAnalyzeCommand:
         assert rc == 0
         assert doc["polytope"]["rigid_pairs"] == [[0, 1]]
         assert doc["polytope"]["dimension"] == 1
+
+    # the density itself overflows to -inf off the support, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_slack_exit_one(self, tmp_path, capsys):
+        # off the diagonal, (f + g - cost) / epsilon is about -1e310: no float holds the slack
+        doc = {"schema_version": 1, "mu": [0.5, 0.5], "nu": [0.5, 0.5], "epsilon": 1e-10,
+               "cost": [[0.0, 1e300], [1e300, 0.0]]}
+        rc = main(["analyze", write_json(tmp_path / "inst.json", doc)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: slack a[0,1] is not finite: (f + g - cost) / epsilon overflows"
+            " at epsilon 1e-10\n"
+        )
 
     def test_analyze_full_support(self, tmp_path, capsys):
         doc_in = offdiag_doc(-1.0)  # cost eta = 1 off the diagonal
@@ -789,7 +817,13 @@ class TestMalformedInputFiles:
                 id="mu-tilde-length",
             ),
             pytest.param(
-                "solve", _instance_text(epsilon="abc"), "nonpositive epsilon", id="epsilon"
+                "solve",
+                _instance_text(epsilon="abc"),
+                "epsilon must be a number, got 'abc'",
+                id="epsilon",
+            ),
+            pytest.param(
+                "solve", _instance_text(epsilon=math.inf), "nonfinite epsilon", id="epsilon-inf"
             ),
             pytest.param(
                 "solve",

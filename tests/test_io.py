@@ -160,6 +160,86 @@ def test_nonfinite_array_raises_value_error(arr, bad, where):
         canonical_json({"a": [1.0, arr]})
 
 
+# float16, float32 and float64 subnormals and extremes, besides the signed zeros
+SHARED_EDGES = [0.0, -0.0, 2.0**-24, 2.0**-149, 5e-324, -5e-324, 65504.0, -65504.0]
+SHARED_EDGES += [3.4028234663852886e38, 1.7976931348623157e308, -1.7976931348623157e308]
+SHARED_EDGES += [0.1, 0.5, 1e16]
+FLOAT_DTYPES = [np.float16, np.float32, np.float64]
+
+
+def representable(dtype, pool):
+    """The values of ``pool`` that ``dtype`` holds exactly."""
+    with np.errstate(over="ignore"):
+        return [v for v in pool if float(dtype(v)) == v]
+
+
+@st.composite
+def shared_pool_documents(draw):
+    """Dicts of float arrays of every rank and float dtype, int arrays, lists of
+    arrays and floats, all drawing from one value pool, so that values repeat
+    across arrays and dtypes; sometimes one array stands under two keys."""
+    pool = SHARED_EDGES + draw(st.lists(floats, max_size=4))
+
+    def float_arrays():
+        dtype = draw(st.sampled_from(FLOAT_DTYPES))
+        return draw(hnp.arrays(dtype, shapes, elements=st.sampled_from(representable(dtype, pool))))
+
+    def value():
+        kind = draw(st.sampled_from(["float array", "int array", "array list", "float"]))
+        if kind == "float array":
+            return float_arrays()
+        if kind == "int array":
+            return draw(arrays_from(np.int64, ints64, INT64_EDGES))
+        if kind == "array list":  # as the sampled shifts of an analysis
+            return [float_arrays() for _ in range(draw(st.integers(0, 3)))]
+        return draw(st.sampled_from(pool))
+
+    doc = {key: value() for key in draw(st.lists(texts, min_size=2, max_size=5, unique=True))}
+    if draw(st.booleans()):
+        doc["shared"] = doc["again"] = float_arrays()
+    return doc
+
+
+def float_arrays_of(obj):
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind == "f" else []
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else []
+    return [a for v in values for a in float_arrays_of(v)]
+
+
+@SETTINGS
+@given(shared_pool_documents())
+def test_shared_values_same_bytes_as_their_lists(doc):
+    assert canonical_json(doc) == reference(tolist(doc))
+
+
+@FEW
+@given(
+    shared_pool_documents(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=0),
+)
+def test_nonfinite_cell_of_any_array_raises_value_error(doc, bad, where):
+    candidates = [a for a in float_arrays_of(doc) if a.size]
+    if not candidates:
+        doc["bad"] = candidates = [np.zeros(3)]
+    arr = candidates[where % len(candidates)]
+    arr.flat[where % arr.size] = bad
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        reference(tolist(doc))
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        canonical_json(doc)
+
+
+@FEW
+@given(shared_pool_documents(), shared_pool_documents())
+def test_no_state_carries_between_documents(first, second):
+    expected = reference(tolist(second))
+    canonical_json(first)
+    assert canonical_json(second) == expected
+    assert canonical_json(first) == reference(tolist(first))
+
+
 @pytest.mark.parametrize(
     "obj",
     [

@@ -52,6 +52,26 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match="nonpositive epsilon"):
             with_epsilon(two_point_offdiag(1.0), -1.0)
 
+    @pytest.mark.parametrize(
+        "epsilon, message",
+        [
+            ("abc", "epsilon must be a number, got 'abc'"),
+            (None, "epsilon must be a number, got None"),
+            ([1.0], "epsilon must be a number, got [1.0]"),
+            (np.nan, "nonfinite epsilon"),
+            (np.inf, "nonfinite epsilon"),
+            (-np.inf, "nonfinite epsilon"),
+            ("nan", "nonfinite epsilon"),
+            (-0.0, "nonpositive epsilon"),
+        ],
+    )
+    def test_each_epsilon_fault_has_its_message(self, epsilon, message):
+        with pytest.raises(ValidationError) as validated:
+            validate_instance([0.5, 0.5], [0.5, 0.5], np.zeros((2, 2)), epsilon=epsilon)
+        with pytest.raises(ValidationError) as replaced:
+            with_epsilon(two_point_offdiag(1.0), epsilon)
+        assert str(validated.value) == str(replaced.value) == message
+
     def test_renormalization_warns_on_large_deviation(self):
         with pytest.warns(UserWarning, match="renormalizing"):
             inst = validate_instance([0.5, 0.52], [0.5, 0.5], np.zeros((2, 2)))

@@ -14,7 +14,8 @@ at every density from empty to full. The polytope of potentials is checked
 against the per-block oracle on the solver's own support after a small
 iteration budget, converged or not, including symmetric uniform-weight
 instances down to eps_rel = 1e-14, where the density amplifies the rounding
-of ``f + g - cost`` by up to 1e14.
+of ``f + g - cost`` by up to 1e14. On block-cost and ``indicator_offdiag``
+instances with several components, the polytope is checked to be finite.
 """
 
 from unittest import mock
@@ -36,7 +37,7 @@ from qrot import (
     support_set,
     validate_instance,
 )
-from conftest import brute_polytope, tiny_eps_symmetric_instance
+from conftest import block_instance, brute_polytope, tiny_eps_symmetric_instance
 from test_support import assert_matches_bfs
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -151,3 +152,35 @@ def test_polytope_matches_per_block_oracle(case, budget):
     np.testing.assert_array_equal(pd.a, a)
     assert pd.rigid_pairs == rigid
     assert pd.dimension == dimension
+
+
+@st.composite
+def multi_component_instances(draw):
+    """Block-cost instances with 2 to 12 blocks, or ``indicator_offdiag`` ones
+    (cost ``2 + gamma`` off the diagonal) with epsilon small enough that the
+    support is the diagonal: every row and column is its own component."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return block_instance(rng, draw(st.integers(2, 12)), rows=rows, cols=cols)
+    n = draw(st.integers(2, 12))
+    gamma = draw(st.floats(0.0, 10.0))
+    # with f = g the diagonal density is n, so off the diagonal (f + g - cost) / eps
+    # is n - (2 + gamma) / eps, negative here
+    eps = (2.0 + gamma) / (n * draw(st.floats(1.5, 100.0)))
+    weights = np.full(n, 1.0 / n)
+    return validate_instance(weights, weights, (2.0 + gamma) * (1.0 - np.eye(n)), epsilon=eps)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(multi_component_instances())
+def test_polytope_of_several_components_is_finite(inst):
+    # the analysis writes a and dist as plain JSON numbers, which have no infinity
+    p, report = solve(inst)
+    assert report.converged
+    s = support_set(density_from_potentials(inst, p))
+    d = components(s)
+    assert d.count >= 2
+    pd = compute_polytope(inst, p, d, s)
+    assert pd.a.shape == pd.dist.shape == (d.count, d.count)
+    assert np.isfinite(pd.a).all() and np.isfinite(pd.dist).all()
