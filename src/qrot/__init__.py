@@ -36,7 +36,6 @@ from .projection import DykstraState, ProjectionError, project, project_point
 from .solver import SolverConfig, solve, solve_symmetric, sweep
 from .sparsity import (
     ContinuousSpec,
-    Grid1D,
     SweepResult,
     block_cost_spec,
     epsilon_sweep,

@@ -9,8 +9,10 @@ only the flags its output depends on: ``--normalization`` belongs to
 self-transport solve, where the shift cancels in ``(f + g) / 2``; ``--seed``
 and ``--tau-rel`` belong to ``analyze`` (the only command that draws random
 numbers or builds the support), and ``sweep`` takes its epsilons from
-``--eps-list`` and its mode from the instance. Flags must be spelled out in
-full; any other flag exits 2 with argparse's usage message.
+``--eps-list`` and always runs the general solve, on the file's weights,
+references and points at each epsilon. Flags must be spelled out in full;
+any other flag exits 2 with argparse's usage message. ``solve``, ``sweep``,
+``verify`` and ``oracle`` check their flags before they load any input.
 
 Exit codes: 0 success, 1 input error (message names the offending field, or
 the file that is missing, a directory or not readable), 2 non-convergence or
@@ -27,7 +29,6 @@ exit 1 there. The environment variable ``QROT_SEED`` overrides ``--seed`` of
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -45,7 +46,7 @@ from .model import (
 from .polytope import compute_polytope, sample_shifts, verify_potentials
 from .projection import project
 from .solver import NORMALIZATIONS, SolverConfig, solve, solve_symmetric
-from .sparsity import Grid1D, epsilon_sweep, sweep_to_csv
+from .sparsity import _epsilon_schedule, epsilon_sweep, sweep_to_csv
 from .support import DEFAULT_TAU_REL, components, support_set
 
 __all__ = ["main", "entry"]
@@ -75,6 +76,7 @@ def _check_nonnegative(value, flag):
 
 
 def _eps_list(text):
+    """The epsilons of ``--eps-list``: numbers, each finite and positive, strictly decreasing."""
     eps_list = []
     for tok in text.split(","):
         if tok.strip():
@@ -84,7 +86,7 @@ def _eps_list(text):
                 raise ValidationError(f"--eps-list entry {tok.strip()!r} is not a number") from None
     if not eps_list:
         raise ValidationError("--eps-list names no epsilon")
-    return eps_list
+    return _epsilon_schedule(eps_list)
 
 
 def _config(args):
@@ -147,13 +149,13 @@ def _emit(text, out_path):
 
 
 def cmd_solve(args):
+    cfg = _config(args)
     loaded = qio.load_instance(args.input)
     inst, symmetric = _instance(loaded, args)
     if symmetric and args.normalization is not None:
         raise ValidationError(
             "a self-transport solve takes no --normalization: the shift cancels in (f + g) / 2"
         )
-    cfg = _config(args)
     p, report = _solve(inst, symmetric, cfg)
     doc = _report_dict(inst, loaded.generator, symmetric, p, report, cfg)
     _emit(qio.canonical_json(doc), args.out)
@@ -167,11 +169,7 @@ def cmd_analyze(args):
         raise ValidationError(f"--tau-rel must be in [0, 1), got {args.tau_rel!r}")
     if args.samples < 0:
         raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
-    with open(args.input) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {args.input}: {exc}") from None
+    doc = qio._read_json(args.input)
 
     # a previously written report: check and reuse its solve
     from_report = isinstance(doc, dict) and "potentials" in doc
@@ -234,30 +232,24 @@ def cmd_analyze(args):
 
 
 def cmd_sweep(args):
-    loaded = qio.load_instance(args.input)
-    if loaded.x is None or loaded.y is None:
-        raise ValidationError("sweep requires an instance with a quadratic_1d generator")
-    grid = Grid1D(xs=loaded.x, mu=loaded.instance.mu, ys=loaded.y, nu=loaded.instance.nu)
+    cfg = _config(args)
     eps_list = _eps_list(args.eps_list)
     _check_nonnegative(args.delta, "--delta")
     if args.out is None:
         raise ValidationError("sweep requires --out for the CSV path")
-    result = epsilon_sweep(grid, eps_list, args.delta, _config(args))
+    result = epsilon_sweep(qio.load_instance(args.input), eps_list, args.delta, cfg)
     sweep_to_csv(result, args.out)
     return 0 if all(r.converged for r in result.reports) else 2
 
 
 def cmd_verify(args):
     _check_nonnegative(args.tol_verify, "--tol-verify")
+    cfg = _config(args)
     inst, symmetric = _instance(qio.load_instance(args.input), args)
-    with open(args.potentials) as fh:
-        try:
-            pot = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {args.potentials}: {exc}") from None
+    pot = qio._read_json(args.potentials)
     candidate = qio.potentials_from_dict(pot, f"potentials file {args.potentials}")
     _check_potentials(inst, candidate)
-    p, report = _solve(inst, symmetric, _config(args))
+    p, report = _solve(inst, symmetric, cfg)
     z_star = density_from_potentials(inst, p)
     accepted = verify_potentials(inst, candidate, z_star, tol=args.tol_verify)
     sys.stdout.write(
@@ -268,8 +260,8 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     _check_nonnegative(args.tol_oracle, "--tol-oracle")
-    inst, symmetric = _instance(qio.load_instance(args.input), args)
     cfg = _config(args)
+    inst, symmetric = _instance(qio.load_instance(args.input), args)
     p, report = _solve(inst, symmetric, cfg)
     z_proj = project(inst)
     diff = float(np.max(np.abs(density_from_potentials(inst, p) - z_proj)))

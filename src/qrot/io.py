@@ -190,13 +190,18 @@ def instance_to_dict(inst, symmetric=False, generator=None):
     return doc
 
 
-def load_instance(path):
+def _read_json(path):
+    """The JSON document in the file at ``path``; a ValidationError naming the
+    file if it is not JSON."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from None
-    return instance_from_dict(doc)
+
+
+def load_instance(path):
+    return instance_from_dict(_read_json(path))
 
 
 def potentials_from_dict(doc, where):

@@ -223,8 +223,14 @@ def _unclipped_density(inst, f, g):
 
     The solver, the objectives, the support and the polytope's slacks (its
     negation) all read this one expression, so they agree to the last bit.
+    A cell that overflows is -inf or +inf, without numpy's warning: a -inf
+    only clips to zero density, and the polytope rejects a nonfinite slack.
     """
-    return (f[:, None] + g[None, :] - inst.cost) / inst.epsilon
+    u = f[:, None] + g[None, :] - inst.cost
+    # in place: u is a fresh array, and the bits are those of u / epsilon
+    with np.errstate(over="ignore"):
+        u /= inst.epsilon
+    return u
 
 
 def _check_density(inst, z):

@@ -4,7 +4,10 @@ For one-dimensional marginals with quadratic cost, the unregularized optimal
 plan is the monotone rearrangement of sorted atoms, so the sparsity of the
 regularized coupling can be measured exactly against it: as epsilon shrinks,
 the support of the regularized coupling contracts into a neighborhood of the
-monotone plan, and the rescaled potentials converge. Also covers the
+monotone plan, and the rescaled potentials converge. :func:`epsilon_sweep`
+runs that experiment on a loaded ``quadratic_1d`` instance
+(:class:`qrot.io.LoadedInstance`), whose points place the cells and whose
+weights and references it solves at each epsilon. Also covers the
 zero-cost closed forms, where the optimal density is available explicitly
 whenever the marginal/reference ratios are jointly large enough.
 """
@@ -17,6 +20,8 @@ import numpy as np
 from .model import (
     Potentials,
     ValidationError,
+    _epsilon,
+    _normalized_weights,
     density_from_potentials,
     validate_instance,
     with_epsilon,
@@ -26,7 +31,6 @@ from .solver import SolverConfig, solve
 from .support import components, support_set
 
 __all__ = [
-    "Grid1D",
     "SweepResult",
     "ContinuousSpec",
     "northwest_corner",
@@ -64,40 +68,29 @@ def monotone_coupling_1d(xs, mu, ys, nu):
 
     Returns the plan's coupling weights, an ``(n, m)`` array with the
     normalized marginals as its row and column sums. Input points must be
-    sorted ascending.
+    finite and sorted ascending.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if np.any(np.diff(xs) < 0):
-        raise ValidationError("xs must be sorted ascending")
-    if np.any(np.diff(ys) < 0):
-        raise ValidationError("ys must be sorted ascending")
-    inst = _quadratic_instance(xs, mu, ys, nu, 1.0)
-    return northwest_corner(inst.mu, inst.nu)
+    for name, points in (("xs", xs), ("ys", ys)):
+        if not (np.isfinite(points).all() and np.all(np.diff(points) >= 0)):
+            raise ValidationError(f"{name} must be finite and sorted ascending")
+    mu, nu = _normalized_weights(mu, "mu"), _normalized_weights(nu, "nu")
+    if xs.shape != mu.shape or ys.shape != nu.shape:
+        raise ValidationError(
+            f"dimension mismatch: points have shapes {xs.shape}, {ys.shape},"
+            f" expected {mu.shape}, {nu.shape}"
+        )
+    return northwest_corner(mu, nu)
 
 
-def _quadratic_instance(xs, mu, ys, nu, eps):
-    cost = (np.asarray(xs, float)[:, None] - np.asarray(ys, float)[None, :]) ** 2
-    return validate_instance(mu, nu, cost, epsilon=eps)
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """A 1-d quadratic-cost instance family over a shared grid, indexed by epsilon."""
-
-    xs: np.ndarray
-    mu: np.ndarray
-    ys: np.ndarray
-    nu: np.ndarray
-
-    def instance(self, eps):
-        return _quadratic_instance(self.xs, self.mu, self.ys, self.nu, eps)
-
-    @classmethod
-    def uniform(cls, n, lo=0.0, hi=1.0):
-        xs = np.linspace(lo, hi, n)
-        w = np.full(n, 1.0 / n)
-        return cls(xs=xs, mu=w, ys=xs.copy(), nu=w.copy())
+def _epsilon_schedule(epsilons):
+    """The schedule as floats; a ValidationError unless each epsilon is finite
+    and positive and they strictly decrease."""
+    eps_list = [_epsilon(e) for e in epsilons]
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValidationError("epsilons must be strictly decreasing")
+    return eps_list
 
 
 @dataclass(frozen=True)
@@ -112,30 +105,30 @@ class SweepResult:
     reports: tuple
 
 
-def epsilon_sweep(grid, epsilons, delta, cfg=None):
-    """Solve the family along a decreasing epsilon schedule and measure sparsity.
+def epsilon_sweep(loaded, epsilons, delta, cfg=None):
+    """Solve a loaded instance along a decreasing epsilon schedule and measure sparsity.
 
-    For each epsilon, records the support size of the solved coupling and the
-    fraction of its mass on cells within (coordinate, Euclidean) distance
-    ``delta`` of some cell of the monotone plan; ``delta`` must be finite and
-    nonnegative. The grid's instance is validated once, and each epsilon of
-    the schedule is a :func:`with_epsilon` copy of it. Successive solves are
-    warm started from the previous rescaled potentials, which converge as
-    epsilon decreases. A non-converged solve is recorded through its report
-    and the sweep continues.
+    ``loaded`` is a :class:`qrot.io.LoadedInstance` with the points of a
+    ``quadratic_1d`` generator. Each epsilon of the schedule (finite, positive
+    and strictly decreasing) solves a :func:`with_epsilon` copy of its
+    validated instance, with the file's weights and references. For each
+    epsilon, records the support size of the solved coupling and the fraction
+    of its mass on cells within (coordinate, Euclidean) distance ``delta`` of
+    some cell of the monotone plan; ``delta`` must be finite and nonnegative.
+    Successive solves are warm started from the previous rescaled potentials,
+    which converge as epsilon decreases. A non-converged solve is recorded
+    through its report and the sweep continues.
     """
-    eps_list = [float(e) for e in epsilons]
-    if any(e <= 0 for e in eps_list) or any(
-        b >= a for a, b in zip(eps_list, eps_list[1:])
-    ):
-        raise ValidationError("epsilons must be strictly decreasing and positive")
+    if loaded.x is None or loaded.y is None:
+        raise ValidationError("sweep requires an instance with a quadratic_1d generator")
+    eps_list = _epsilon_schedule(epsilons)
     delta = float(delta)
     if not (np.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and nonnegative, got {delta!r}")
 
-    base = monotone_coupling_1d(grid.xs, grid.mu, grid.ys, grid.nu)
-    near = _neighborhood_mask(grid.xs, grid.ys, base > 0, delta)
-    family = grid.instance(1.0)
+    family = loaded.instance
+    base = monotone_coupling_1d(loaded.x, family.mu, loaded.y, family.nu)
+    near = _neighborhood_mask(loaded.x, loaded.y, base > 0, delta)
     cfg = cfg or SolverConfig()
 
     support_sizes = []

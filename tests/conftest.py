@@ -19,6 +19,20 @@ def pytest_runtest_logreport(report):
 # named instances
 
 
+def quadratic_doc(n=8):
+    """Instance document of n uniform-weight points on [0, 1] on both sides,
+    quadratic cost (``quadratic_1d`` generator), epsilon 1."""
+    xs = np.linspace(0, 1, n).tolist()
+    w = [1.0 / n] * n
+    return {
+        "schema_version": 1,
+        "mu": w,
+        "nu": w,
+        "generator": {"kind": "quadratic_1d", "x": xs, "y": xs},
+        "epsilon": 1.0,
+    }
+
+
 def two_point_offdiag(gamma, eps=1.0):
     """Uniform two-point marginals, cost (2 + gamma) off the diagonal."""
     cost = (2.0 + gamma) * (1.0 - np.eye(2))

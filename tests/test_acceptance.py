@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from qrot import (
-    Grid1D,
     Potentials,
     apply_shifts,
     block_cost_spec,
@@ -33,9 +32,11 @@ from qrot import (
     verify_potentials,
     zero_cost_closed_form,
 )
+from qrot.io import instance_from_dict
 from conftest import (
     brute_components,
     offdiag_family,
+    quadratic_doc,
     random_feasible_density,
     random_instance,
     random_weights,
@@ -357,8 +358,8 @@ def test_c08_zz_total_budget():
 
 def test_c09_sparsity_sweep():
     start = time.perf_counter()
-    grid = Grid1D.uniform(20)
-    res = epsilon_sweep(grid, [1.0, 0.1, 0.01, 0.001], delta=0.1)
+    loaded = instance_from_dict(quadratic_doc(20))
+    res = epsilon_sweep(loaded, [1.0, 0.1, 0.01, 0.001], delta=0.1)
     assert all(r.converged for r in res.reports)
     assert res.containment[-1] == 1.0
     assert res.support_sizes[-1] < res.support_sizes[0]

@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import math
@@ -22,6 +23,7 @@ from qrot import PotentialConsistencyError, Potentials, ValidationError, density
 from qrot.projection import project
 from conftest import (
     block_instance,
+    quadratic_doc,
     random_symmetric_instance,
     schema1_report,
     schema2_report,
@@ -41,18 +43,6 @@ def offdiag_doc(gamma=1.0, eps=1.0):
         "nu": [0.5, 0.5],
         "generator": {"kind": "indicator_offdiag", "gamma": gamma},
         "epsilon": eps,
-    }
-
-
-def quadratic_doc(n=8):
-    xs = np.linspace(0, 1, n).tolist()
-    w = [1.0 / n] * n
-    return {
-        "schema_version": 1,
-        "mu": w,
-        "nu": w,
-        "generator": {"kind": "quadratic_1d", "x": xs, "y": xs},
-        "epsilon": 1.0,
     }
 
 
@@ -313,20 +303,25 @@ class TestAnalyzeCommand:
         assert doc["polytope"]["rigid_pairs"] == [[0, 1]]
         assert doc["polytope"]["dimension"] == 1
 
-    # the density itself overflows to -inf off the support, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_slack_exit_one(self, tmp_path, capsys):
         # off the diagonal, (f + g - cost) / epsilon is about -1e310: no float holds the slack
         doc = {"schema_version": 1, "mu": [0.5, 0.5], "nu": [0.5, 0.5], "epsilon": 1e-10,
                "cost": [[0.0, 1e300], [1e300, 0.0]]}
-        rc = main(["analyze", write_json(tmp_path / "inst.json", doc)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == (
+        path = write_json(tmp_path / "inst.json", doc)
+        message = (
             "error: slack a[0,1] is not finite: (f + g - cost) / epsilon overflows"
             " at epsilon 1e-10\n"
         )
+        rc = main(["analyze", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == message
+        # numpy's overflow warning would reach the stderr of a plain run
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrot.cli.__file__)))
+        argv = [sys.executable, "-W", "default", "-m", "qrot", "analyze", path]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
 
     def test_analyze_full_support(self, tmp_path, capsys):
         doc_in = offdiag_doc(-1.0)  # cost eta = 1 off the diagonal
@@ -498,6 +493,31 @@ class TestSweepCommand:
         assert "--out" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "eps_list, rel", [("0.1", 0.0), ("1.0,0.1,0.01,0.001", 1e-12)], ids=["single", "schedule"]
+    )
+    def test_rows_match_solve_with_references(self, tmp_path, eps_list, rel):
+        # each row solves the file's instance, its references included, at its
+        # epsilon; a schedule warm starts every solve but the first
+        doc = dict(
+            quadratic_doc(6),
+            mu=[0.1, 0.2, 0.15, 0.25, 0.2, 0.1],
+            mu_tilde=[0.3, 0.1, 0.1, 0.2, 0.2, 0.1],
+            nu_tilde=[0.05, 0.15, 0.2, 0.2, 0.3, 0.1],
+        )
+        path = write_json(tmp_path / "refs.json", doc)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path, "--eps-list", eps_list, "--delta", "0.2", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["epsilon"] for row in rows] == eps_list.split(",")
+        for row in rows:
+            report_path = tmp_path / "report.json"
+            assert main(["solve", path, "--eps", row["epsilon"], "--out", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())["report"]
+            for key in ("primal_value", "dual_value"):
+                assert float(row[key]) == pytest.approx(report[key], rel=rel, abs=0.0)
+
     def test_requires_coordinates(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         rc = main(["sweep", path, "--eps-list", "1,0.1", "--delta", "0.1", "--out", "x.csv"])
@@ -523,7 +543,7 @@ class TestSweepCommand:
         # only analyze draws random numbers or builds the support, so only it
         # takes --seed and --tau-rel; only solve writes potentials, so only it
         # takes --normalization; sweep takes its epsilons from --eps-list and
-        # its mode from the instance
+        # always runs the general solve
         path = write_json(tmp_path / "grid.json", quadratic_doc(8))
         extra = {
             "sweep": ["--eps-list", "1,0.1", "--delta", "0.2", "--out", str(tmp_path / "x.csv")],
@@ -543,6 +563,10 @@ class TestSweepCommand:
             (["--delta", "nan"], "error: --delta must be finite and nonnegative, got nan"),
             (["--delta", "inf"], "error: --delta must be finite and nonnegative, got inf"),
             (["--delta", "-0.1"], "error: --delta must be finite and nonnegative, got -0.1"),
+            (["--eps-list", "1,0.1,nan"], "error: nonfinite epsilon"),
+            (["--eps-list", "inf,1"], "error: nonfinite epsilon"),
+            (["--eps-list", "1,0"], "error: nonpositive epsilon"),
+            (["--eps-list", "0.1,1"], "error: epsilons must be strictly decreasing"),
         ],
     )
     def test_bad_numeric_flag_exit_one(self, tmp_path, capsys, monkeypatch, flags, message):
@@ -613,6 +637,28 @@ class TestNumericFlags:
         assert captured.err == "error: tol_residual must be finite and positive\n"
         assert calls == []
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--tol", "nan"], "tol_residual must be finite and positive"),
+            (["verify", "--potentials", "pot.json", "--tol", "nan"],
+             "tol_residual must be finite and positive"),
+            (["oracle", "--max-sweeps", "0"], "max_sweeps must be at least 1"),
+            (["sweep", "--eps-list", "1,abc", "--delta", "0.1", "--out", "x.csv"],
+             "--eps-list entry 'abc' is not a number"),
+            (["sweep", "--eps-list", "1,0.1", "--delta", "0.1", "--out", "x.csv", "--tol", "0"],
+             "tol_residual must be finite and positive"),
+        ],
+        ids=["solve", "verify", "oracle", "sweep-eps-list", "sweep-tol"],
+    )
+    def test_flags_checked_before_loading(self, tmp_path, capsys, argv, message):
+        command, *flags = argv
+        rc = main([command, str(tmp_path / "missing.json"), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_zero_tau_rel_accepted(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))

@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qrot.sparsity
+
 from qrot import (
-    Grid1D,
     ValidationError,
     block_cost_spec,
     density_from_potentials,
@@ -16,10 +18,12 @@ from qrot import (
     solve,
     support_set,
     validate_instance,
+    with_epsilon,
     zero_cost_closed_form,
 )
+from qrot.io import LoadedInstance, instance_from_dict
 from qrot.sparsity import _neighborhood_mask
-from conftest import zero_cost_skewed
+from conftest import quadratic_doc, zero_cost_skewed
 
 
 def broadcast_neighborhood_mask(xs, ys, base_mask, delta):
@@ -55,9 +59,18 @@ class TestMonotoneCoupling:
             )
             assert value == pytest.approx(best, abs=1e-12)
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            monotone_coupling_1d([0.0, 1.0], [0.5, 0.5], [0.0, 0.5, 1.0], [0.5, 0.5])
+
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValidationError, match="sorted"):
             monotone_coupling_1d([1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_points_rejected(self, bad):
+        with pytest.raises(ValidationError, match="ys must be finite"):
+            monotone_coupling_1d([0.0, 1.0], [0.5, 0.5], [0.0, bad], [0.5, 0.5])
 
     def test_northwest_corner_marginals(self):
         rng = np.random.default_rng(1)
@@ -73,8 +86,8 @@ class TestMonotoneCoupling:
 
 class TestEpsilonSweep:
     def test_containment_and_cauchy_trace(self):
-        grid = Grid1D.uniform(12)
-        res = epsilon_sweep(grid, [1.0, 0.1, 0.01, 0.001], delta=0.15)
+        loaded = instance_from_dict(quadratic_doc(12))
+        res = epsilon_sweep(loaded, [1.0, 0.1, 0.01, 0.001], delta=0.15)
         assert all(r.converged for r in res.reports)
         # support shrinks into the monotone plan's neighborhood
         assert res.containment[-1] == 1.0
@@ -85,8 +98,8 @@ class TestEpsilonSweep:
         assert gaps[-1] < gaps[-2]
 
     def test_large_epsilon_approaches_independent_coupling(self):
-        grid = Grid1D.uniform(8)
-        inst = grid.instance(100.0)
+        loaded = instance_from_dict(quadratic_doc(8))
+        inst = with_epsilon(loaded.instance, 100.0)
         p, report = solve(inst)
         assert report.converged
         z = density_from_potentials(inst, p)
@@ -94,10 +107,10 @@ class TestEpsilonSweep:
         np.testing.assert_allclose(z, 1.0, atol=0.05)
 
     def test_sweep_value_matches_unit_epsilon_rescaling(self):
-        grid = Grid1D.uniform(10)
-        res = epsilon_sweep(grid, [0.5, 0.05], delta=0.2)
+        loaded = instance_from_dict(quadratic_doc(10))
+        res = epsilon_sweep(loaded, [0.5, 0.05], delta=0.2)
         for eps, report in zip(res.epsilons, res.reports):
-            inst = grid.instance(eps)
+            inst = with_epsilon(loaded.instance, eps)
             unit = validate_instance(
                 inst.mu, inst.nu, inst.cost / eps, epsilon=1.0
             )
@@ -108,20 +121,42 @@ class TestEpsilonSweep:
             )
 
     def test_increasing_epsilons_rejected(self):
-        grid = Grid1D.uniform(5)
+        loaded = instance_from_dict(quadratic_doc(5))
         with pytest.raises(ValidationError, match="decreasing"):
-            epsilon_sweep(grid, [0.1, 1.0], delta=0.1)
+            epsilon_sweep(loaded, [0.1, 1.0], delta=0.1)
+
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            ([1.0, float("nan")], "nonfinite epsilon"),
+            ([float("inf"), 1.0], "nonfinite epsilon"),
+            ([1.0, 0.0], "nonpositive epsilon"),
+            ([1.0, "abc"], "epsilon must be a number"),
+        ],
+    )
+    def test_bad_epsilon_rejected_before_solving(self, monkeypatch, epsilons, message):
+        calls = []
+        monkeypatch.setattr(qrot.sparsity, "solve", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValidationError, match=message):
+            epsilon_sweep(instance_from_dict(quadratic_doc(5)), epsilons, delta=0.1)
+        assert calls == []
+
+    def test_instance_without_points_rejected(self):
+        loaded = instance_from_dict(quadratic_doc(5))
+        for no_points in (LoadedInstance(instance=loaded.instance), replace(loaded, y=None)):
+            with pytest.raises(ValidationError, match="quadratic_1d generator"):
+                epsilon_sweep(no_points, [1.0, 0.1], delta=0.1)
 
     @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
     def test_invalid_delta_rejected(self, delta):
         with pytest.raises(ValidationError, match="delta"):
-            epsilon_sweep(Grid1D.uniform(12), [1.0, 0.1], delta=delta)
+            epsilon_sweep(instance_from_dict(quadratic_doc(12)), [1.0, 0.1], delta=delta)
 
     def test_non_convergence_recorded_without_aborting(self):
         from qrot import SolverConfig
 
-        grid = Grid1D.uniform(10)
-        res = epsilon_sweep(grid, [1.0, 0.01], delta=0.1, cfg=SolverConfig(max_sweeps=2))
+        loaded = instance_from_dict(quadratic_doc(10))
+        res = epsilon_sweep(loaded, [1.0, 0.01], delta=0.1, cfg=SolverConfig(max_sweeps=2))
         assert len(res.reports) == 2
         assert not all(r.converged for r in res.reports)
         assert all(np.isfinite(p.f).all() for p in res.potentials_trace)

@@ -3,7 +3,6 @@ import pytest
 
 from qrot import (
     ComponentDecomposition,
-    Grid1D,
     SupportSet,
     components,
     density_from_potentials,
@@ -11,10 +10,13 @@ from qrot import (
     solve,
     support_set,
     validate_instance,
+    with_epsilon,
 )
+from qrot.io import instance_from_dict
 from conftest import (
     bfs_components,
     brute_components,
+    quadratic_doc,
     random_instance,
     two_point_offdiag,
     zero_cost_skewed,
@@ -214,7 +216,7 @@ class TestComponentsAtScale:
         assert d.count == 0 and d.unmatched_rows == (0, 1, 2, 3)
 
     def test_solved_1d_support(self):
-        inst = Grid1D.uniform(200).instance(0.01)
+        inst = with_epsilon(instance_from_dict(quadratic_doc(200)).instance, 0.01)
         p, report = solve(inst)
         assert report.converged
         mask = support_set(density_from_potentials(inst, p)).mask
