@@ -35,22 +35,13 @@ from .polytope import (
 from .projection import DykstraState, ProjectionError, project, project_point
 from .solver import SolverConfig, solve, solve_symmetric, sweep
 from .sparsity import (
-    ContinuousSpec,
     SweepResult,
-    block_cost_spec,
     epsilon_sweep,
     monotone_coupling_1d,
     northwest_corner,
-    refinement_study,
     sweep_to_csv,
     zero_cost_closed_form,
 )
-from .support import (
-    ComponentDecomposition,
-    SupportSet,
-    components,
-    partition_check,
-    support_set,
-)
+from .support import ComponentDecomposition, SupportSet, components, support_set
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ and ``--tau-rel`` belong to ``analyze`` (the only command that draws random
 numbers or builds the support), and ``sweep`` takes its epsilons from
 ``--eps-list`` and always runs the general solve, on the file's weights,
 references and points at each epsilon. Flags must be spelled out in full;
-any other flag exits 2 with argparse's usage message. ``solve``, ``sweep``,
-``verify`` and ``oracle`` check their flags before they load any input.
+any other flag exits 2 with argparse's usage message. Every command checks
+its flags, ``--eps`` included, before it loads any input; only a report
+given to ``analyze`` answers a bad solver flag with the rule below instead.
 
 Exit codes: 0 success, 1 input error (message names the offending field, or
 the file that is missing, a directory or not readable), 2 non-convergence or
@@ -38,6 +39,7 @@ from . import io as qio
 from .model import (
     ValidationError,
     _check_potentials,
+    _epsilon,
     density_from_potentials,
     max_residual,
     primal_objective,
@@ -90,6 +92,9 @@ def _eps_list(text):
 
 
 def _config(args):
+    """The solver flags as a SolverConfig; a ValidationError names a bad one, ``--eps`` too."""
+    if getattr(args, "eps", None) is not None:
+        _epsilon(args.eps)
     kwargs = {}
     if args.tol is not None:
         kwargs["tol_residual"] = args.tol
@@ -169,7 +174,18 @@ def cmd_analyze(args):
         raise ValidationError(f"--tau-rel must be in [0, 1), got {args.tau_rel!r}")
     if args.samples < 0:
         raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
-    doc = qio._read_json(args.input)
+    # a bad solver flag is named before the input is read, unless the input
+    # is a report, which takes no solver flags and names those it was given
+    try:
+        cfg, flag_error = _config(args), None
+    except ValidationError as exc:
+        cfg, flag_error = None, exc
+    try:
+        doc = qio._read_json(args.input)
+    except (ValidationError, OSError):
+        if flag_error is None:
+            raise
+        raise flag_error from None
 
     # a previously written report: check and reuse its solve
     from_report = isinstance(doc, dict) and "potentials" in doc
@@ -188,9 +204,11 @@ def cmd_analyze(args):
         loaded, p, tol = qio.report_from_dict(doc)
         inst = loaded.instance
         _check_potentials(inst, p)
+    elif flag_error is not None:
+        raise flag_error
     else:
         inst, symmetric = _instance(qio.instance_from_dict(doc), args)
-        p, _ = _solve(inst, symmetric, _config(args))
+        p, _ = _solve(inst, symmetric, cfg)
 
     z = density_from_potentials(inst, p)
     if from_report:

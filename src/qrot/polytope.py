@@ -23,10 +23,11 @@ Difference-constraint systems are canonical shortest-path objects: the
 min-plus closure of ``a`` gives the tightest bound on each difference, pairs
 whose two-way bounds sum to zero are forced equal, and the dimension of ``T``
 is the number of equivalence classes of that rigidity relation (always at
-least one: the global shift), counted by :func:`components` on the mask of
-forced-equal pairs. Because the closure is tight, any feasible
-partial assignment extends, which lets :func:`sample_shifts` draw one
-coordinate at a time with no repair.
+least one: the global shift). The classes are counted on the mask of
+forced-equal pairs by the labelling that the support components and the
+Newton solver share (:func:`qrot.support._line_labels`). Because the
+closure is tight, any feasible partial assignment extends, which lets
+:func:`sample_shifts` draw one coordinate at a time with no repair.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .model import (
     _unclipped_density,
     density_from_potentials,
 )
-from .support import SupportSet, _label_runs, components
+from .support import _label_runs, _line_labels
 
 __all__ = [
     "PolytopeDescription",
@@ -160,7 +161,7 @@ def compute_polytope(inst, p, decomp, s):
     dist = _floyd_warshall(a)
     rigid_mask = dist + dist.T <= RIGID_TOL
     rigid = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(rigid_mask, 1)))
-    dimension = components(SupportSet(mask=rigid_mask, tau=0.0)).count
+    dimension = _line_labels(rigid_mask)[2]
 
     a.setflags(write=False)
     dist.setflags(write=False)

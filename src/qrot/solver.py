@@ -42,7 +42,7 @@ from .model import (
     max_residual,
     shift_potentials,
 )
-from .support import _row_roots
+from .support import _line_labels
 
 __all__ = [
     "SolverConfig",
@@ -142,8 +142,8 @@ class _SupportSystem:
     ``w`` is the support's weight matrix, ``col_diag`` the regularized column
     block ``col_deg + lam`` of the Laplacian, ``schur`` the ``n x n`` system
     left after eliminating ``g``. ``row_label`` and ``col_label`` name each
-    row's and column's support component, and ``lines`` counts the rows and
-    columns of each component.
+    row's and column's support component (:func:`qrot.support._line_labels`),
+    and ``lines`` counts the rows and columns of each component.
     """
 
     on: np.ndarray
@@ -162,9 +162,8 @@ def _support_system(inst, on, ref):
     row_deg, col_deg = w.sum(axis=1), w.sum(axis=0)
     if not (row_deg.all() and col_deg.all()):
         return None
-    row_label = _row_roots(on)
-    col_label = row_label[on.argmax(axis=0)]
-    lines = np.bincount(row_label, minlength=inst.n) + np.bincount(col_label, minlength=inst.n)
+    row_label, col_label, count = _line_labels(on)
+    lines = np.bincount(row_label, minlength=count) + np.bincount(col_label, minlength=count)
     lam = 1e-12 * max(row_deg.max(), col_deg.max())
     col_diag = col_deg + lam
     w_scaled = w / col_diag
@@ -221,7 +220,8 @@ def _newton_step(inst, p, u, z, ref, system):
     w, row_label, col_label = system.w, system.row_label, system.col_label
     grad_f = inst.mu - inst.mu_tilde * (z @ inst.nu_tilde)
     grad_g = inst.nu - inst.nu_tilde * (inst.mu_tilde @ z)
-    imbalance = np.bincount(row_label, grad_f, inst.n) - np.bincount(col_label, grad_g, inst.n)
+    count = system.lines.size
+    imbalance = np.bincount(row_label, grad_f, count) - np.bincount(col_label, grad_g, count)
     drift = np.where(
         np.abs(imbalance) <= IMBALANCE_TOL, imbalance / np.maximum(system.lines, 1), 0.0
     )

@@ -23,22 +23,18 @@ from .model import (
     _epsilon,
     _normalized_weights,
     density_from_potentials,
-    validate_instance,
     with_epsilon,
 )
-from .polytope import compute_polytope
 from .solver import SolverConfig, solve
-from .support import components, support_set
+from .support import support_set
 
 __all__ = [
     "SweepResult",
-    "ContinuousSpec",
     "northwest_corner",
     "monotone_coupling_1d",
     "epsilon_sweep",
     "sweep_to_csv",
     "zero_cost_closed_form",
-    "refinement_study",
 ]
 
 
@@ -248,60 +244,3 @@ def zero_cost_closed_form(inst):
     p = Potentials(f=inst.epsilon * (r - 0.5), g=inst.epsilon * (s - 0.5))
     z.setflags(write=False)
     return p, z
-
-
-@dataclass(frozen=True)
-class ContinuousSpec:
-    """Densities on [0, 1] and a cost function, to be discretized on uniform grids.
-
-    All three callables must accept numpy arrays; ``cost`` is evaluated on a
-    meshgrid of the two coordinate vectors.
-    """
-
-    mu_density: callable
-    nu_density: callable
-    cost: callable
-
-
-def block_cost_spec(gamma):
-    """Uniform marginals with an indicator cost off the two half-interval blocks."""
-
-    def cost(x, y):
-        same_block = ((x < 0.5) & (y < 0.5)) | ((x > 0.5) & (y > 0.5))
-        return (2.0 + gamma) * (~same_block).astype(float)
-
-    ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    return ContinuousSpec(mu_density=ones, nu_density=ones, cost=cost)
-
-
-def refinement_study(spec, grid_sizes, cfg=None):
-    """Solve midpoint discretizations of a continuous spec at several grid sizes.
-
-    Emits one row per grid size with the component count, the polytope
-    dimension and the largest finite off-diagonal constraint slack. There is
-    no claim that the discrete dimension converges; the table is an empirical
-    companion for eyeballing whether multiplicity persists under refinement.
-    """
-    cfg = cfg or SolverConfig()
-    rows = []
-    for size in grid_sizes:
-        xs = (np.arange(size) + 0.5) / size
-        mu = np.asarray(spec.mu_density(xs), dtype=float)
-        nu = np.asarray(spec.nu_density(xs), dtype=float)
-        cost = np.asarray(spec.cost(xs[:, None], xs[None, :]), dtype=float)
-        inst = validate_instance(mu / mu.sum(), nu / nu.sum(), cost)
-        p, report = solve(inst, cfg)
-        s = support_set(density_from_potentials(inst, p))
-        decomp = components(s)
-        pd = compute_polytope(inst, p, decomp, s)
-        finite_offdiag = pd.a[np.isfinite(pd.a) & ~np.eye(pd.n_components, dtype=bool)]
-        rows.append(
-            {
-                "grid": int(size),
-                "n_components": pd.n_components,
-                "dimension": pd.dimension,
-                "max_finite_slack": float(finite_offdiag.max()) if finite_offdiag.size else None,
-                "converged": report.converged,
-            }
-        )
-    return rows

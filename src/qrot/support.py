@@ -5,7 +5,8 @@ changing only the row and only the column coordinate; this is bipartite-graph
 connectivity, not topological connectivity. Components are computed by
 array label propagation over the rows: every row's label falls to the
 smallest row reachable from it, and columns and cells take their rows'
-labels.
+labels. The Newton solver and the polytope's rigidity classes use the same
+labelling (:func:`_line_labels`).
 """
 
 import warnings
@@ -15,7 +16,7 @@ import numpy as np
 
 from .model import ValidationError
 
-__all__ = ["SupportSet", "ComponentDecomposition", "support_set", "components", "partition_check"]
+__all__ = ["SupportSet", "ComponentDecomposition", "support_set", "components"]
 
 DEFAULT_TAU_REL = 1e-8  # default support threshold, relative to the largest density entry
 
@@ -126,48 +127,39 @@ def _projections(labels, count):
     return tuple(tuple(run.tolist()) for run in np.split(order, starts)[1:])
 
 
-def components(s):
-    """Decompose a support mask into connected components.
+def _line_labels(mask):
+    """Component id of every row and every column of ``mask``, and the component count.
 
-    Every row takes the smallest row of its component (:func:`_row_roots`);
-    the component ids are the ranks of those roots among the matched rows,
-    so ids follow each component's smallest row. A support cell carries its
-    row's id, and a column the id of any row it meets.
+    Returns ``(row_label, col_label, count)``. Every row takes the smallest
+    row of its component (:func:`_row_roots`), and the ids are the ranks of
+    those roots among the rows that meet the support, so ids are dense and
+    follow each component's smallest row. A column takes the id of any row
+    it meets. A row or column that meets no cell is labelled -1.
     """
-    mask = s.mask
     n = mask.shape[0]
     root = _row_roots(mask)
     matched_rows = mask.any(axis=1)
     is_root = matched_rows & (root == np.arange(n))
     row_label = np.where(matched_rows, np.cumsum(is_root)[root] - 1, -1)
+    col_label = np.where(mask, row_label[:, None], -1).max(axis=0, initial=-1)
+    return row_label, col_label, int(np.count_nonzero(is_root))
+
+
+def components(s):
+    """Decompose a support mask into connected components.
+
+    The ids are those of :func:`_line_labels`: they follow each component's
+    smallest row. A support cell carries its row's id.
+    """
+    mask = s.mask
+    row_label, col_label, count = _line_labels(mask)
     labels = np.where(mask, row_label[:, None], -1)
-    col_label = labels.max(axis=0, initial=-1)
-    count = int(np.count_nonzero(is_root))
     labels.setflags(write=False)
     return ComponentDecomposition(
         labels=labels,
         row_projections=_projections(row_label, count),
         col_projections=_projections(col_label, count),
         count=count,
-        unmatched_rows=tuple(np.flatnonzero(~matched_rows).tolist()),
+        unmatched_rows=tuple(np.flatnonzero(row_label < 0).tolist()),
         unmatched_cols=tuple(np.flatnonzero(col_label < 0).tolist()),
     )
-
-
-def partition_check(d):
-    """True iff the row projections partition the rows meeting the support, and likewise for columns."""
-    rows_in_support = set(np.unique(np.nonzero(np.any(d.labels >= 0, axis=1))[0]).tolist())
-    cols_in_support = set(np.unique(np.nonzero(np.any(d.labels >= 0, axis=0))[0]).tolist())
-    for projections, covered in (
-        (d.row_projections, rows_in_support),
-        (d.col_projections, cols_in_support),
-    ):
-        seen = set()
-        for proj in projections:
-            block = set(proj)
-            if block & seen:
-                return False
-            seen |= block
-        if seen != covered:
-            return False
-    return True

@@ -45,6 +45,24 @@ def two_point_ondiag(gamma, eps=1.0):
     return validate_instance([0.5, 0.5], [0.5, 0.5], cost, epsilon=eps)
 
 
+def midpoint_grid(size, cost):
+    """Uniform weights on the ``size`` midpoints of [0, 1] on both sides, cost
+    ``cost(x, y)`` on the grid, epsilon 1."""
+    xs = (np.arange(size) + 0.5) / size
+    w = np.full(size, 1.0 / size)
+    return validate_instance(w, w, cost(xs[:, None], xs[None, :]))
+
+
+def block_cost(gamma):
+    """Cost ``2 + gamma`` off the two half-interval blocks of [0, 1]^2, zero on them."""
+
+    def cost(x, y):
+        same_block = ((x < 0.5) & (y < 0.5)) | ((x > 0.5) & (y > 0.5))
+        return (2.0 + gamma) * (~same_block).astype(float)
+
+    return cost
+
+
 def zero_cost_skewed(lam, eps=1.0):
     """Zero cost, uniform references, marginals (1 - lam, lam) on both sides."""
     return validate_instance(
@@ -232,6 +250,26 @@ def bfs_components(mask):
         "unmatched_rows": tuple(i for i in range(n) if row_id[i] < 0),
         "unmatched_cols": tuple(j for j in range(m) if col_id[j] < 0),
     }
+
+
+def partition_check(d):
+    """True iff the row projections of the decomposition ``d`` partition the
+    rows meeting its support, and likewise for columns."""
+    rows_in_support = set(np.flatnonzero(np.any(d.labels >= 0, axis=1)).tolist())
+    cols_in_support = set(np.flatnonzero(np.any(d.labels >= 0, axis=0)).tolist())
+    for projections, covered in (
+        (d.row_projections, rows_in_support),
+        (d.col_projections, cols_in_support),
+    ):
+        seen = set()
+        for proj in projections:
+            block = set(proj)
+            if block & seen:
+                return False
+            seen |= block
+        if seen != covered:
+            return False
+    return True
 
 
 def brute_components(mask):

@@ -12,7 +12,6 @@ import numpy as np
 from qrot import (
     Potentials,
     apply_shifts,
-    block_cost_spec,
     components,
     compute_polytope,
     density_from_potentials,
@@ -21,7 +20,6 @@ from qrot import (
     primal_objective,
     project,
     project_point,
-    refinement_study,
     sample_shifts,
     shift_potentials,
     solve,
@@ -34,7 +32,9 @@ from qrot import (
 )
 from qrot.io import instance_from_dict
 from conftest import (
+    block_cost,
     brute_components,
+    midpoint_grid,
     offdiag_family,
     quadratic_doc,
     random_feasible_density,
@@ -372,18 +372,11 @@ def test_c09_sparsity_sweep():
 
 def test_c10_block_cost_refinement():
     gamma = 1.0
-    rows = refinement_study(block_cost_spec(gamma), [10])
-    (row,) = rows
-    assert row["converged"]
-    assert row["dimension"] == 2
-    assert row["n_components"] == 2
-    # both off-diagonal constraint slacks equal gamma
-    spec = block_cost_spec(gamma)
-    xs = (np.arange(10) + 0.5) / 10
-    inst = validate_instance(
-        np.full(10, 0.1), np.full(10, 0.1), spec.cost(xs[:, None], xs[None, :])
-    )
+    inst = midpoint_grid(10, block_cost(gamma))
     p, report, z, s, d, pd = analyze(inst)
     assert report.converged
+    assert pd.dimension == 2
+    assert pd.n_components == 2
+    # both off-diagonal constraint slacks equal gamma
     assert abs(pd.a[0, 1] - gamma) <= 1e-6
     assert abs(pd.a[1, 0] - gamma) <= 1e-6

@@ -332,6 +332,26 @@ class TestAnalyzeCommand:
         assert doc["components"]["count"] == 1
         assert doc["polytope"]["dimension"] == 1
 
+    def test_lines_meeting_no_cell(self, tmp_path, capsys):
+        # three diagonal blocks; at tau_rel 0.9 only the two 1 x 1 blocks keep a cell
+        doc = {"schema_version": 1, "mu": [0.25] * 4, "nu": [0.25] * 4, "epsilon": 0.1,
+               "cost": [[0.0, 0.2, 3.0, 3.5], [0.3, 0.0, 2.5, 3.0],
+                        [3.0, 2.75, 0.0, 3.25], [3.5, 3.0, 2.0, 0.0]]}
+        path = write_json(tmp_path / "blocks.json", doc)
+        rc = main(["analyze", path, "--tau-rel", "0.9", "--samples", "1"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        comp, poly = out["components"], out["polytope"]
+        assert comp["count"] == 2 and poly["dimension"] == 2
+        assert comp["unmatched_rows"] == comp["unmatched_cols"] == [0, 1]
+        labels = np.array(comp["labels"])
+        assert (labels[[0, 1]] == -1).all()
+        for key, unmatched in (("row_projections", "unmatched_rows"),
+                               ("col_projections", "unmatched_cols")):
+            covered = sorted(line for proj in comp[key] for line in proj)
+            assert covered == sorted(set(range(4)) - set(comp[unmatched]))
+        assert len(out["sampled_shifts"]) == 1
+
     def test_analyze_report_file(self, tmp_path, capsys):
         inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         report_path = tmp_path / "report.json"
@@ -390,7 +410,9 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.startswith("error: dimension mismatch")
 
     @pytest.mark.parametrize(
-        "flag", [["--eps", "0.5"], ["--tol", "1e-6"], ["--max-sweeps", "0"], ["--symmetric"]]
+        "flag",
+        [["--eps", "0.5"], ["--tol", "1e-6"], ["--max-sweeps", "0"], ["--symmetric"],
+         ["--eps", "-1"]],
     )
     def test_report_rejects_solver_flags(self, tmp_path, capsys, monkeypatch, flag):
         inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
@@ -649,8 +671,20 @@ class TestNumericFlags:
              "--eps-list entry 'abc' is not a number"),
             (["sweep", "--eps-list", "1,0.1", "--delta", "0.1", "--out", "x.csv", "--tol", "0"],
              "tol_residual must be finite and positive"),
+            (["solve", "--eps", "-1"], "nonpositive epsilon"),
+            (["solve", "--eps", "nan"], "nonfinite epsilon"),
+            (["verify", "--potentials", "pot.json", "--eps", "-1"], "nonpositive epsilon"),
+            (["oracle", "--eps", "nan"], "nonfinite epsilon"),
+            (["analyze", "--eps", "-1"], "nonpositive epsilon"),
+            (["analyze", "--eps", "nan"], "nonfinite epsilon"),
+            (["analyze", "--tol", "nan"], "tol_residual must be finite and positive"),
+            (["analyze", "--max-sweeps", "0"], "max_sweeps must be at least 1"),
         ],
-        ids=["solve", "verify", "oracle", "sweep-eps-list", "sweep-tol"],
+        ids=[
+            "solve", "verify", "oracle", "sweep-eps-list", "sweep-tol", "solve-eps-negative",
+            "solve-eps-nan", "verify-eps", "oracle-eps", "analyze-eps-negative",
+            "analyze-eps-nan", "analyze-tol", "analyze-max-sweeps",
+        ],
     )
     def test_flags_checked_before_loading(self, tmp_path, capsys, argv, message):
         command, *flags = argv

@@ -405,32 +405,32 @@ class TestSupportSystemReuse:
     )
     def test_reuse_changes_no_bit(self, monkeypatch, make, solver):
         inst = make()
-        counts = {"steps": 0, "roots": 0}
-        step, row_roots = qrot.solver._newton_step, qrot.solver._row_roots
+        counts = {"steps": 0, "labels": 0}
+        step, line_labels = qrot.solver._newton_step, qrot.solver._line_labels
 
         def counting_step(*args):
             counts["steps"] += 1
             return step(*args)
 
-        def counting_roots(mask):
-            counts["roots"] += 1
-            return row_roots(mask)
+        def counting_labels(mask):
+            counts["labels"] += 1
+            return line_labels(mask)
 
         monkeypatch.setattr(qrot.solver, "_newton_step", counting_step)
-        monkeypatch.setattr(qrot.solver, "_row_roots", counting_roots)
+        monkeypatch.setattr(qrot.solver, "_line_labels", counting_labels)
         p, report = solver(inst)
         assert report.converged
-        steps, reused_roots = counts["steps"], counts["roots"]
-        assert reused_roots < steps
+        steps, reused_labels = counts["steps"], counts["labels"]
+        assert reused_labels < steps
 
         # every step builds its system afresh
         def fresh_step(inst, p, u, z, ref, system):
             return counting_step(inst, p, u, z, ref, None)
 
         monkeypatch.setattr(qrot.solver, "_newton_step", fresh_step)
-        counts["roots"] = 0
+        counts["labels"] = 0
         q, fresh = solver(inst)
-        assert counts["roots"] > reused_roots
+        assert counts["labels"] > reused_labels
         np.testing.assert_array_equal(p.f, q.f)
         np.testing.assert_array_equal(p.g, q.g)
         assert report == fresh  # iterations and objective values, exactly

@@ -8,13 +8,13 @@ import qrot.sparsity
 
 from qrot import (
     ValidationError,
-    block_cost_spec,
+    components,
+    compute_polytope,
     density_from_potentials,
     epsilon_sweep,
     monotone_coupling_1d,
     northwest_corner,
     project,
-    refinement_study,
     solve,
     support_set,
     validate_instance,
@@ -23,7 +23,7 @@ from qrot import (
 )
 from qrot.io import LoadedInstance, instance_from_dict
 from qrot.sparsity import _neighborhood_mask
-from conftest import quadratic_doc, zero_cost_skewed
+from conftest import block_cost, midpoint_grid, quadratic_doc, zero_cost_skewed
 
 
 def broadcast_neighborhood_mask(xs, ys, base_mask, delta):
@@ -298,28 +298,29 @@ class TestZeroCostClosedForm:
 
 
 class TestRefinementStudy:
+    """Midpoint discretizations of [0, 1], solved and analyzed."""
+
+    @staticmethod
+    def analyze(inst):
+        p, report = solve(inst)
+        s = support_set(density_from_potentials(inst, p))
+        return report, compute_polytope(inst, p, components(s), s)
+
     def test_block_cost_multiplicity_persists(self):
-        rows = refinement_study(block_cost_spec(1.0), [10])
-        (row,) = rows
-        assert row["n_components"] == 2
-        assert row["dimension"] == 2
-        assert row["max_finite_slack"] == pytest.approx(1.0, abs=1e-6)
+        _, pd = self.analyze(midpoint_grid(10, block_cost(1.0)))
+        assert pd.n_components == 2
+        assert pd.dimension == 2
+        finite_offdiag = pd.a[np.isfinite(pd.a) & ~np.eye(pd.n_components, dtype=bool)]
+        assert finite_offdiag.max() == pytest.approx(1.0, abs=1e-6)
 
     def test_single_atom_grid(self):
-        rows = refinement_study(block_cost_spec(1.0), [1])
-        assert rows[0]["n_components"] == 1
-        assert rows[0]["dimension"] == 1
+        _, pd = self.analyze(midpoint_grid(1, block_cost(1.0)))
+        assert pd.n_components == 1
+        assert pd.dimension == 1
 
     def test_quadratic_cost_rows_emitted(self):
-        spec = block_cost_spec(0.5)
-        quad = type(spec)(
-            mu_density=spec.mu_density,
-            nu_density=spec.nu_density,
-            cost=lambda x, y: (x - y) ** 2,
-        )
-        rows = refinement_study(quad, [5, 10])
-        assert [r["grid"] for r in rows] == [5, 10]
-        for r in rows:
-            assert r["converged"]
-            assert r["n_components"] >= 1
-            assert 1 <= r["dimension"] <= r["n_components"]
+        for size in (5, 10):
+            report, pd = self.analyze(midpoint_grid(size, lambda x, y: (x - y) ** 2))
+            assert report.converged
+            assert pd.n_components >= 1
+            assert 1 <= pd.dimension <= pd.n_components

@@ -6,7 +6,6 @@ from qrot import (
     SupportSet,
     components,
     density_from_potentials,
-    partition_check,
     solve,
     support_set,
     validate_instance,
@@ -16,6 +15,7 @@ from qrot.io import instance_from_dict
 from conftest import (
     bfs_components,
     brute_components,
+    partition_check,
     quadratic_doc,
     random_instance,
     two_point_offdiag,
