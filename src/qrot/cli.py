@@ -12,18 +12,21 @@ numbers or builds the support), and ``sweep`` takes its epsilons from
 ``--eps-list`` and always runs the general solve, on the file's weights,
 references and points at each epsilon. Flags must be spelled out in full;
 any other flag exits 2 with argparse's usage message. Every command checks
-its flags, ``--eps`` included, before it loads any input; only a report
-given to ``analyze`` answers a bad solver flag with the rule below instead.
+its flags, ``--eps`` included, before it loads any input, except that
+``analyze`` reads its file before its solver flags: a report answers them
+with the rule below, and an unreadable file still gets a bad one named.
 
 Exit codes: 0 success, 1 input error (message names the offending field, or
 the file that is missing, a directory or not readable), 2 non-convergence or
 tolerance failure (a report is still written when one exists; a dual decrease
 and a projection that does not converge end here too, and so do ``analyze``
-runs whose potentials are inconsistent with their support or whose stored
-potentials miss their marginals), 3 verification rejected. Every error prints
-one ``error: ...`` line, never a traceback. ``analyze`` on a report reuses the
-report's solve, so ``--eps``, ``--tol``, ``--max-sweeps`` and ``--symmetric``
-exit 1 there. The environment variable ``QROT_SEED`` overrides ``--seed`` of
+runs, which then write nothing, whose solve does not converge, whose
+potentials are inconsistent with their support or whose stored potentials
+miss their marginals; ``verify`` prints its verdict and exits 2 ahead of 0
+or 3 when its solve does not converge), 3 verification rejected. Every error
+prints one ``error: ...`` line, never a traceback. ``analyze`` on a report
+reuses the report's solve, so ``--eps``, ``--tol``, ``--max-sweeps`` and
+``--symmetric`` exit 1 there. The environment variable ``QROT_SEED`` overrides ``--seed`` of
 ``analyze``; a seed that is negative or not an integer, and a negative
 ``--samples``, exit 1.
 """
@@ -174,18 +177,11 @@ def cmd_analyze(args):
         raise ValidationError(f"--tau-rel must be in [0, 1), got {args.tau_rel!r}")
     if args.samples < 0:
         raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
-    # a bad solver flag is named before the input is read, unless the input
-    # is a report, which takes no solver flags and names those it was given
-    try:
-        cfg, flag_error = _config(args), None
-    except ValidationError as exc:
-        cfg, flag_error = None, exc
     try:
         doc = qio._read_json(args.input)
     except (ValidationError, OSError):
-        if flag_error is None:
-            raise
-        raise flag_error from None
+        _config(args)  # a bad solver flag is named ahead of unreadable input
+        raise
 
     # a previously written report: check and reuse its solve
     from_report = isinstance(doc, dict) and "potentials" in doc
@@ -204,16 +200,21 @@ def cmd_analyze(args):
         loaded, p, tol = qio.report_from_dict(doc)
         inst = loaded.instance
         _check_potentials(inst, p)
-    elif flag_error is not None:
-        raise flag_error
+        if tol is None:
+            tol = SolverConfig().tol_residual
     else:
+        cfg = _config(args)
         inst, symmetric = _instance(qio.instance_from_dict(doc), args)
-        p, _ = _solve(inst, symmetric, cfg)
+        p, report = _solve(inst, symmetric, cfg)
+        if not report.converged:
+            sys.stderr.write(
+                f"error: the solve did not converge: marginal residual"
+                f" {report.marginal_residual:.3e}, above tol_residual {cfg.tol_residual:g}\n"
+            )
+            return 2
 
     z = density_from_potentials(inst, p)
     if from_report:
-        if tol is None:
-            tol = SolverConfig().tol_residual
         residual = max_residual(inst, z)
         if not residual <= tol:
             sys.stderr.write(
@@ -228,18 +229,18 @@ def cmd_analyze(args):
         "support": {"tau": s.tau},
         "components": {
             "labels": decomp.labels,
-            "row_projections": [list(t) for t in decomp.row_projections],
-            "col_projections": [list(t) for t in decomp.col_projections],
+            "row_projections": decomp.row_projections,
+            "col_projections": decomp.col_projections,
             "count": decomp.count,
-            "unmatched_rows": list(decomp.unmatched_rows),
-            "unmatched_cols": list(decomp.unmatched_cols),
+            "unmatched_rows": decomp.unmatched_rows,
+            "unmatched_cols": decomp.unmatched_cols,
         },
         "polytope": {
             "n_components": pd.n_components,
             "a": pd.a,
             "dist": pd.dist,
             "dimension": pd.dimension,
-            "rigid_pairs": [list(pair) for pair in pd.rigid_pairs],
+            "rigid_pairs": pd.rigid_pairs,
         },
         "provenance": {"tau_rel": args.tau_rel, "seed": seed},
     }
@@ -273,6 +274,8 @@ def cmd_verify(args):
     sys.stdout.write(
         qio.canonical_json({"accepted": accepted, "solver_converged": report.converged})
     )
+    if not report.converged:
+        return 2
     return 0 if accepted else 3
 
 

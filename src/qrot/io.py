@@ -243,7 +243,9 @@ def report_from_dict(doc):
 def decode_extended(rows):
     """A matrix of an older analysis file, which wrote an infinity as the string "inf".
 
-    Entries must be numbers or the string "inf".
+    Entries must be numbers or the string "inf". A matrix holding an
+    infinity it reads can no longer build a ``PolytopeDescription``, whose
+    ``a`` and ``dist`` must be finite.
     """
     try:
         arr = np.array(rows, dtype=float)

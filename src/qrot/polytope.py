@@ -10,14 +10,15 @@ unclipped density, the expression the density and its support come from.
 The slacks live at the unit-regularization normalization; :func:`apply_shifts`
 multiplies by epsilon when shifting the stored rescaled potentials.
 
-Every row and column meeting the support carries one component label, so
-``a`` is a label reduction of ``u``: rows and columns are sorted by label,
-``np.maximum.reduceat`` takes the block maxima of ``u`` in O(nm), first over
-rows, then over columns, and ``a`` is their negation; unmatched rows and
-columns are left out. Support cells need no masking, since each lies in a
-diagonal block, and diagonal entries are zero by definition. An off-support
-cell has ``u <= tau``, the support threshold, so its slack is at least
-``-tau``; such slacks are floored at zero, which keeps ``alpha = 0`` feasible.
+Every row and column meeting the support lies in one component's projection,
+so ``a`` is a block reduction of ``u``: rows and columns are taken projection
+by projection, ``np.maximum.reduceat`` takes the block maxima of ``u`` in
+O(nm), first over rows, then over columns, and ``a`` is their negation;
+unmatched rows and columns are in no projection and are left out. Support
+cells need no masking, since each lies in a diagonal block, and diagonal
+entries are zero by definition. An off-support cell has ``u <= tau``, the
+support threshold, so its slack is at least ``-tau``; such slacks are
+floored at zero, which keeps ``alpha = 0`` feasible.
 
 Difference-constraint systems are canonical shortest-path objects: the
 min-plus closure of ``a`` gives the tightest bound on each difference, pairs
@@ -30,6 +31,7 @@ closure is tight, any feasible partial assignment extends, which lets
 :func:`sample_shifts` draw one coordinate at a time with no repair.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,7 @@ from .model import (
     _unclipped_density,
     density_from_potentials,
 )
-from .support import _label_runs, _line_labels
+from .support import _line_labels
 
 __all__ = [
     "PolytopeDescription",
@@ -72,11 +74,9 @@ class PolytopeDescription:
     equals the number of components when no pair is forced equal and is
     always at least one.
 
-    From :func:`compute_polytope`, ``a`` and ``dist`` are finite: every
-    component has a row and a column, so every block has cells, and a slack
-    that overflows is rejected. A description built by hand may leave the
-    difference of a pair unbounded with ``+inf``; :func:`sample_shifts` and
-    :func:`symmetric_shift_interval` accept it.
+    ``a`` and ``dist`` must be finite, or construction raises a
+    ValidationError: every block has cells, so it bounds its difference, and
+    :func:`compute_polytope` rejects a slack that overflows.
     """
 
     n_components: int
@@ -84,6 +84,11 @@ class PolytopeDescription:
     dist: np.ndarray
     dimension: int
     rigid_pairs: tuple
+
+    def __post_init__(self):
+        for name in ("a", "dist"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"polytope matrix {name} has an entry that is not finite")
 
 
 def _floyd_warshall(a):
@@ -94,13 +99,10 @@ def _floyd_warshall(a):
     return dist
 
 
-def _axis_labels(decomp):
-    """Component label of every row and every column; -1 where unmatched.
-
-    A row (column) meeting the support lies in exactly one component, so the
-    largest label along it is that component and unmatched lines keep -1.
-    """
-    return decomp.labels.max(axis=1), decomp.labels.max(axis=0)
+def _lines(projections):
+    """The lines of all projections, one component after another, and each one's count."""
+    sizes = np.array([len(run) for run in projections], dtype=np.intp)
+    return np.fromiter(itertools.chain.from_iterable(projections), dtype=np.intp), sizes
 
 
 def compute_polytope(inst, p, decomp, s):
@@ -113,7 +115,7 @@ def compute_polytope(inst, p, decomp, s):
         Converged potentials of the instance (duality gap at solver tolerance).
     decomp : ComponentDecomposition
     s : SupportSet
-        Both derived from the density of ``p``: the labels of ``decomp``
+        Both derived from the density of ``p``: the projections of ``decomp``
         carry the support, and ``s.tau`` is the feasibility tolerance.
 
     ``a[i, j]`` is minus the largest unclipped density ``u = (f + g - cost) /
@@ -134,9 +136,10 @@ def compute_polytope(inst, p, decomp, s):
         float range.
     """
     count = decomp.count
-    row_label, col_label = _axis_labels(decomp)
-    rows, row_starts = _label_runs(row_label, count)
-    cols, col_starts = _label_runs(col_label, count)
+    rows, row_sizes = _lines(decomp.row_projections)
+    cols, col_sizes = _lines(decomp.col_projections)
+    row_starts = np.cumsum(row_sizes) - row_sizes
+    col_starts = np.cumsum(col_sizes) - col_sizes
     # a support cell joins its row and column into one component, so every
     # support cell lies in a diagonal block, which fill_diagonal overwrites
     u = np.maximum.reduceat(_unclipped_density(inst, p.f, p.g)[rows], row_starts, axis=0)
@@ -175,11 +178,7 @@ def compute_polytope(inst, p, decomp, s):
 
 
 def _max_violation(pd, alpha):
-    diff = alpha[:, None] - alpha[None, :]
-    finite = np.isfinite(pd.a)
-    if not finite.any():
-        return 0.0
-    return float(np.max(diff[finite] - pd.a[finite]))
+    return float(np.max(alpha[:, None] - alpha[None, :] - pd.a, initial=0.0))
 
 
 def sample_shifts(pd, k, seed):
@@ -190,27 +189,19 @@ def sample_shifts(pd, k, seed):
     the range the closure ``dist`` leaves it given the coordinates before it.
     That interval is never empty, since a feasible partial assignment of a
     closed difference-constraint system always extends, so no repair is
-    needed. An unbounded side is cut ``2 * big`` from the other side, or at
-    ``-big`` / ``big`` when both are unbounded, where ``big`` exceeds every
-    finite ``|dist|``. The ``k`` vectors are drawn together, one coordinate
-    per step, and the output is deterministic in ``seed``. Every returned
-    vector is verified against all constraints to 1e-9.
+    needed; it is bounded, since ``dist`` is finite. The ``k`` vectors are
+    drawn together, one coordinate per step, and the output is deterministic
+    in ``seed``. Every returned vector is verified against all constraints
+    to 1e-9.
     """
     count = pd.n_components
     rng = np.random.default_rng(seed)
     dist = pd.dist
-    finite = np.isfinite(dist)
-    big = float(np.max(np.abs(dist[finite]))) + 1.0 if finite.any() else 1.0
-
-    bounded = finite.all()  # then both sides are finite and need no cut
     u = rng.random((max(k, 0), count))
     alpha = np.zeros_like(u)
     for i in range(1, count):
         lo = np.max(alpha[:, :i] - dist[:i, i], axis=1)
         hi = np.min(alpha[:, :i] + dist[i, :i], axis=1)
-        if not bounded:
-            lo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, big) - 2.0 * big)
-            hi = np.where(np.isfinite(hi), hi, lo + 2.0 * big)
         alpha[:, i] = lo + (hi - lo) * u[:, i]
 
     for row in alpha:
@@ -224,9 +215,9 @@ def apply_shifts(p, decomp, alpha, eps, pd=None):
     component ``k`` and ``g -= eps * alpha[k]`` on its columns.
 
     The factor ``eps`` converts the unit-normalization shift back to the
-    rescaled potentials. Rows and columns matched to no component keep their
-    values (they are flagged on the decomposition). When a polytope
-    description is supplied, the shift is validated against its constraints.
+    rescaled potentials. Rows and columns in no projection keep their values
+    (they are flagged on the decomposition). When a polytope description is
+    supplied, the shift is validated against its constraints.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (decomp.count,):
@@ -236,13 +227,12 @@ def apply_shifts(p, decomp, alpha, eps, pd=None):
     if pd is not None and _max_violation(pd, alpha) > 1e-9:
         raise ValidationError("shift vector violates a polytope constraint")
 
-    row_label, col_label = _axis_labels(decomp)
-    rows = row_label >= 0
-    cols = col_label >= 0
+    rows, row_sizes = _lines(decomp.row_projections)
+    cols, col_sizes = _lines(decomp.col_projections)
     f = p.f.copy()
     g = p.g.copy()
-    f[rows] += eps * alpha[row_label[rows]]
-    g[cols] -= eps * alpha[col_label[cols]]
+    f[rows] += eps * np.repeat(alpha, row_sizes)
+    g[cols] -= eps * np.repeat(alpha, col_sizes)
     return Potentials(f=f, g=g)
 
 
@@ -295,9 +285,9 @@ def symmetric_shift_interval(pd, mirror, pair):
     direction[i] = 1.0
     direction[j] = -1.0
     coeff = direction[:, None] - direction[None, :]
-    bound = np.isfinite(pd.dist) & ~np.eye(pd.n_components, dtype=bool)
-    up = bound & (coeff > 0)
-    down = bound & (coeff < 0)
-    hi = np.min(pd.dist[up] / coeff[up], initial=np.inf)
-    lo = np.max(pd.dist[down] / coeff[down], initial=-np.inf)
+    # coeff is 0 on the diagonal and coeff[i, j] = 2 = -coeff[j, i], so both sides are bounded
+    up = coeff > 0
+    down = coeff < 0
+    hi = np.min(pd.dist[up] / coeff[up])
+    lo = np.max(pd.dist[down] / coeff[down])
     return float(lo), float(hi)

@@ -62,7 +62,8 @@ class ComponentDecomposition:
     """Labeled components of a support mask.
 
     ``labels[i, j]`` is -1 off support, otherwise the component id. Component
-    ids are assigned in order of the smallest row index they touch. Rows and
+    ids are assigned in order of the smallest row index they touch, and the
+    projections list each component's rows and columns, ascending. Rows and
     columns that meet no support cell are listed in ``unmatched_rows`` /
     ``unmatched_cols``; downstream consumers exclude them rather than guess a
     component.
@@ -110,20 +111,14 @@ def _row_roots(mask):
         root = hooked
 
 
-def _label_runs(labels, count):
-    """Lines sorted by label (stable sort), and where each label's run starts.
+def _projections(labels, count):
+    """Lines of each label ``0 .. count - 1``, ascending, as tuples of ints.
 
-    Unmatched lines (label -1) sort first, before the first run, where
-    ``np.minimum.reduceat`` over these starts never looks and which
-    ``np.split`` at them puts in its first piece.
+    Unmatched lines (label -1) sort first, into the piece ``np.split`` puts
+    before the first run.
     """
     order = np.argsort(labels, kind="stable")
-    return order, np.searchsorted(labels[order], np.arange(count))
-
-
-def _projections(labels, count):
-    """Lines of each label ``0 .. count - 1``, ascending, as tuples of ints."""
-    order, starts = _label_runs(labels, count)
+    starts = np.searchsorted(labels[order], np.arange(count))
     return tuple(tuple(run.tolist()) for run in np.split(order, starts)[1:])
 
 

@@ -28,6 +28,7 @@ from qrot import (
     sweep,
     validate_instance,
     verify_potentials,
+    with_epsilon,
     zero_cost_closed_form,
 )
 from qrot.io import instance_from_dict
@@ -380,3 +381,39 @@ def test_c10_block_cost_refinement():
     # both off-diagonal constraint slacks equal gamma
     assert abs(pd.a[0, 1] - gamma) <= 1e-6
     assert abs(pd.a[1, 0] - gamma) <= 1e-6
+
+
+def test_c11_multiplicity_transition():
+    # uniform weights on the n midpoints of [0, 1], quadratic cost: the
+    # diagonal plan has density n, so f_i + g_i = eps * n, and it is optimal
+    # iff every neighbour keeps f_i + g_(i+1) <= 1 / n^2, that is n^3 eps <= 1
+    def transition(n, eps):
+        inst = with_epsilon(midpoint_grid(n, lambda x, y: (x - y) ** 2), eps)
+        p, report, z, s, d, pd = analyze(inst)
+        assert report.converged
+        return inst, p, z, d, pd
+
+    for eps, below, above in (
+        (1e-3, (2, 9), (11, 12)),
+        (1e-4, (2, 20, 21), (22, 23)),
+        (1e-6, (2, 99), (101, 102)),
+    ):
+        for n in below:
+            assert n**3 * eps < 1
+            inst, p, z, d, pd = transition(n, eps)
+            assert d.row_projections == d.col_projections == tuple((i,) for i in range(n))
+            assert pd.dimension == n and pd.rigid_pairs == ()
+            for alpha in sample_shifts(pd, 2, seed=n):
+                assert verify_potentials(inst, apply_shifts(p, d, alpha, eps, pd), z)
+        for n in above:
+            assert n**3 * eps > 1
+            _, _, _, d, pd = transition(n, eps)
+            assert d.count == 1 and pd.dimension == 1
+
+    # the boundary, where 10^3 * 1e-3 rounds to exactly 1.0: every neighbour
+    # slack is 0, so the 10 diagonal components are all forced equal
+    assert 10**3 * 1e-3 == 1.0
+    _, _, _, d, pd = transition(10, 1e-3)
+    assert d.row_projections == d.col_projections == tuple((i,) for i in range(10))
+    assert pd.dimension == 1 and len(pd.rigid_pairs) == 45
+    assert 1e-3 * np.max(pd.dist + pd.dist.T) <= 1e-16

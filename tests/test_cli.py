@@ -31,6 +31,29 @@ from conftest import (
 )
 
 
+# the references pull the optimum away from the marginals: one sweep leaves a residual
+REFS_DOC = {
+    "schema_version": 1,
+    "mu": [0.2, 0.5, 0.3],
+    "nu": [0.3, 0.3, 0.4],
+    "mu_tilde": [0.5, 0.25, 0.25],
+    "nu_tilde": [0.2, 0.4, 0.4],
+    "epsilon": 1.0,
+    "generator": {"kind": "quadratic_1d", "x": [0.0, 0.5, 1.0], "y": [0.0, 0.4, 1.0]},
+}
+
+
+# three diagonal blocks; at tau_rel 0.9 only the two 1 x 1 blocks keep a cell
+BLOCKS_DOC = {
+    "schema_version": 1,
+    "mu": [0.25] * 4,
+    "nu": [0.25] * 4,
+    "epsilon": 0.1,
+    "cost": [[0.0, 0.2, 3.0, 3.5], [0.3, 0.0, 2.5, 3.0],
+             [3.0, 2.75, 0.0, 3.25], [3.5, 3.0, 2.0, 0.0]],
+}
+
+
 def write_json(path, doc):
     path.write_text(canonical_json(doc))
     return str(path)
@@ -333,11 +356,7 @@ class TestAnalyzeCommand:
         assert doc["polytope"]["dimension"] == 1
 
     def test_lines_meeting_no_cell(self, tmp_path, capsys):
-        # three diagonal blocks; at tau_rel 0.9 only the two 1 x 1 blocks keep a cell
-        doc = {"schema_version": 1, "mu": [0.25] * 4, "nu": [0.25] * 4, "epsilon": 0.1,
-               "cost": [[0.0, 0.2, 3.0, 3.5], [0.3, 0.0, 2.5, 3.0],
-                        [3.0, 2.75, 0.0, 3.25], [3.5, 3.0, 2.0, 0.0]]}
-        path = write_json(tmp_path / "blocks.json", doc)
+        path = write_json(tmp_path / "blocks.json", BLOCKS_DOC)
         rc = main(["analyze", path, "--tau-rel", "0.9", "--samples", "1"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -373,6 +392,19 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: a[0,1] = -7.4e-08 < 0\n"
         assert not out.exists()
+
+    def test_unconverged_solve_exit_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "refs.json", REFS_DOC)
+        out = tmp_path / "analysis.json"
+        rc = main(["analyze", path, "--max-sweeps", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: the solve did not converge: marginal residual ")
+        assert captured.err.endswith(", above tol_residual 1e-10\n")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+        assert main(["analyze", path, "--out", str(out)]) == 0
 
     def test_report_without_tol_residual(self, tmp_path, capsys):
         # reports without provenance.tol_residual are checked at the default tolerance
@@ -708,6 +740,66 @@ def solve_report(tmp_path, doc, *flags):
     out = tmp_path / "report.json"
     assert main(["solve", path, "--out", str(out), *flags]) == 0
     return out, json.loads(out.read_text())
+
+
+class TestAnalysisContract:
+    """The analysis read back as a consumer of ``analyze`` output reads it:
+    keywords only, ``unmatched_*`` left at their defaults, ``a`` and ``dist``
+    through ``decode_extended``."""
+
+    @staticmethod
+    def shifted(tmp_path, *flags):
+        """The instance, its optimal density, and each sampled shift applied through
+        the rebuilt decomposition and through that of ``components``."""
+        report_path, report = solve_report(tmp_path, BLOCKS_DOC)
+        out_path = tmp_path / "analysis.json"
+        argv = ["analyze", str(report_path), "--samples", "4", *flags, "--out", str(out_path)]
+        assert main(argv) == 0
+        doc = json.loads(out_path.read_text())
+        comp, poly = doc["components"], doc["polytope"]
+        decomp = qrot.ComponentDecomposition(
+            labels=np.asarray(comp["labels"], int),
+            row_projections=tuple(tuple(r) for r in comp["row_projections"]),
+            col_projections=tuple(tuple(c) for c in comp["col_projections"]),
+            count=comp["count"],
+        )
+        pd = qrot.PolytopeDescription(
+            n_components=poly["n_components"],
+            a=decode_extended(poly["a"]),
+            dist=decode_extended(poly["dist"]),
+            dimension=poly["dimension"],
+            rigid_pairs=tuple(tuple(r) for r in poly["rigid_pairs"]),
+        )
+        inst = instance_from_dict(report["instance"]).instance
+        p = Potentials(*(np.asarray(report["potentials"][key], float) for key in "fg"))
+        z_star = density_from_potentials(inst, p)
+        own = qrot.components(qrot.support_set(z_star, tau=doc["support"]["tau"]))
+        assert len(doc["sampled_shifts"]) == 4
+        pairs = [
+            (qrot.apply_shifts(p, decomp, alpha, inst.epsilon, pd),
+             qrot.apply_shifts(p, own, alpha, inst.epsilon, pd))
+            for alpha in doc["sampled_shifts"]
+        ]
+        return inst, z_star, pairs
+
+    @pytest.mark.parametrize("flags", [[], ["--tau-rel", "0.9"]], ids=["default", "tau-rel-0.9"])
+    def test_rebuilt_decomposition_shifts_bit_identically(self, tmp_path, flags):
+        _, _, pairs = self.shifted(tmp_path, *flags)
+        for q, want in pairs:
+            assert q.f.tobytes() == want.f.tobytes() and q.g.tobytes() == want.g.tobytes()
+
+    def test_sampled_shifts_are_potentials(self, tmp_path):
+        inst, z_star, pairs = self.shifted(tmp_path)
+        assert all(qrot.verify_potentials(inst, q, z_star) for q, _ in pairs)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the polytope has no constraint between a component and an unmatched line,"
+        " so one of four sampled shifts raises the density of cell (1, 3) from 0 to 1.265",
+    )
+    def test_sampled_shifts_are_potentials_with_unmatched_lines(self, tmp_path):
+        inst, z_star, pairs = self.shifted(tmp_path, "--tau-rel", "0.9")
+        assert all(qrot.verify_potentials(inst, q, z_star) for q, _ in pairs)
 
 
 class TestReportSchema:
@@ -1051,6 +1143,22 @@ class TestVerifyCommand:
         )
         rc = main(["verify", inst_path, "--potentials", pot_path])
         assert rc == 0
+
+    def test_unconverged_solve_exit_two(self, tmp_path, capsys):
+        # the converged pair is the optimum, yet a solve cut at one sweep rejects it
+        report_path, report = solve_report(tmp_path, REFS_DOC)
+        pot = {key: report["potentials"][key] for key in ("f", "g")}
+        pot_path = write_json(tmp_path / "pot.json", pot)
+        inst_path = str(tmp_path / "inst.json")
+        rc = main(["verify", inst_path, "--potentials", pot_path, "--max-sweeps", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.out) == {"accepted": False, "solver_converged": False}
+        assert captured.err == ""
+        assert main(["verify", inst_path, "--potentials", pot_path]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "accepted": True, "solver_converged": True
+        }
 
     def test_bad_potentials_file_exit_one(self, tmp_path, capsys):
         inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))

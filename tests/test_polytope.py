@@ -260,6 +260,13 @@ class TestSampleShifts:
         for alpha in sample_shifts(pd, 4, seed=3):
             np.testing.assert_array_equal(alpha, [0.0])
 
+    def test_zero_components_yield_empty_vectors(self):
+        empty = np.zeros((0, 0))
+        pd = PolytopeDescription(n_components=0, a=empty, dist=empty, dimension=0, rigid_pairs=())
+        shifts = sample_shifts(pd, 3, seed=0)
+        assert len(shifts) == 3
+        assert all(alpha.shape == (0,) for alpha in shifts)
+
     def test_deterministic_in_seed(self):
         inst = two_point_offdiag(1.0)
         _, _, _, _, pd = analyze(inst)
@@ -302,19 +309,14 @@ class TestSampleShiftsAtScale:
         # the anchor's group is pinned at zero
         np.testing.assert_allclose(stacked[:, 1:3], 0.0, atol=1e-9)
 
-    def test_half_unbounded_coordinates(self):
-        # alpha[2] >= alpha[1] + 5 with no upper bound and alpha[3] <=
-        # alpha[1] - 5 with no lower bound, none tied to the anchor; a fixed
-        # [-big, big] box (big = 11) for an unbounded side would leave no room
-        # for alpha[2] when alpha[1] > 6, nor for alpha[3] when alpha[1] < -6
-        a = np.full((4, 4), np.inf)
-        np.fill_diagonal(a, 0.0)
-        a[1, 2], a[3, 1], a[3, 2] = -5.0, -5.0, -10.0  # closed: a[3, 2] = a[3, 1] + a[1, 2]
-        pd = PolytopeDescription(n_components=4, a=a, dist=a, dimension=4, rigid_pairs=())
-        shifts = np.array(sample_shifts(pd, 200, seed=0))
-        assert np.all(shifts[:, 2] - shifts[:, 1] >= 5.0 - 1e-9)
-        assert np.all(shifts[:, 1] - shifts[:, 3] >= 5.0 - 1e-9)
-        assert shifts[:, 1].max() > 6.0 and shifts[:, 1].min() < -6.0
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["a", "dist"])
+    def test_non_finite_matrix_rejected(self, name, entry):
+        # every block bounds its difference, so a description never holds an infinity
+        matrices = {"a": np.zeros((2, 2)), "dist": np.zeros((2, 2))}
+        matrices[name][0, 1] = entry
+        with pytest.raises(ValidationError, match=f"polytope matrix {name} has an entry"):
+            PolytopeDescription(n_components=2, dimension=2, rigid_pairs=(), **matrices)
 
 
 class TestApplyShifts:
