@@ -31,6 +31,9 @@ float and integer arrays as they are; the encoder writes each one as
 the document once, which pays off on the repeated cells of a symmetric cost
 or density, of the component labels, of a sparse density's zeros and of the
 polytope's ``a`` and its closure ``dist``, which share most of their values.
+The texts of the distinct floats come from :mod:`qrot._floattext`, which
+computes ``float.__repr__`` of a whole array in numpy, so the bytes are still
+those of ``json.dumps``.
 """
 
 import json
@@ -40,6 +43,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from ._floattext import float_texts
 from .model import Instance, Potentials, ValidationError, validate_instance
 
 __all__ = [
@@ -294,9 +298,10 @@ class _FloatTexts:
     """The number texts of the cells of one document's float arrays.
 
     One sort of the bit patterns of all of them, so that 0.0 and -0.0 stay
-    apart, and one ``repr`` per distinct value. An array's texts are taken
-    from that table only when it is written, so those of one array at a time
-    are held.
+    apart, and the ``repr`` text of each distinct value from
+    :func:`qrot._floattext.float_texts`, which is fastest on values in that
+    order. An array's texts are taken from that table only when it is
+    written, so those of one array at a time are held.
     """
 
     def __init__(self, doc):
@@ -320,7 +325,7 @@ class _FloatTexts:
         inverse = np.empty(order.size, dtype=np.int32)
         inverse[order] = np.cumsum(first, dtype=np.int32) - 1
         del order, first
-        self._texts = np.array(list(map(repr, unique.view(np.float64).tolist())), dtype=object)
+        self._texts = np.array(float_texts(unique.view(np.float64)), dtype=object)
         stops = np.cumsum([a.size for a in arrays]).tolist()
         for key, start, stop in zip(found, [0, *stops], stops):
             self._index[key] = inverse[start:stop]
@@ -341,7 +346,8 @@ def _rows(cells, pad, depth):
 def _array(arr, pad, floats):
     """``_encode(arr.tolist(), pad)`` for a float or integer array; a float array
     takes its texts from ``floats``, an integer array formats each of its
-    distinct values once."""
+    distinct values once: every value from its least to its greatest when
+    that range is no larger than the array, which needs no sort."""
     kind = arr.dtype.kind
     if not (kind in "iu" or (kind == "f" and arr.dtype.itemsize <= 8)):
         raise TypeError(f"Object of type ndarray of {arr.dtype} is not JSON serializable")
@@ -353,9 +359,16 @@ def _array(arr, pad, floats):
             _float(float(arr[~finite][0]))  # raises json's ValueError
         cells = floats.cells(arr)
     else:
-        unique, inverse = np.unique(arr.reshape(-1), return_inverse=True)
-        texts = np.array(list(map(repr, unique.tolist())), dtype=object)
-        cells = texts[inverse].reshape(arr.shape).tolist()
+        low, high = arr.min(), int(arr.max())
+        if high - int(low) <= arr.size:  # in Python ints, which do not overflow
+            texts = np.array(list(map(repr, range(int(low), high + 1))), dtype=object)
+            # the offsets wrap in arr's dtype, but fit its unsigned twin
+            cells = texts[(arr - low).view(f"u{arr.itemsize}")]
+        else:
+            unique, inverse = np.unique(arr.reshape(-1), return_inverse=True)
+            texts = np.array(list(map(repr, unique.tolist())), dtype=object)
+            cells = texts[inverse].reshape(arr.shape)
+        cells = cells.tolist()
     return _rows(cells, pad, arr.ndim)
 
 
@@ -412,9 +425,10 @@ def canonical_json(obj):
 
     A numpy float or integer array (of any shape, 0-d and empty included) is
     written exactly as ``json.dumps`` writes ``arr.tolist()`` at that depth.
-    Each distinct value of the document's float arrays is formatted once, and
-    each distinct value of an integer array once per array. An array of any
-    other dtype raises TypeError, and one holding nan or an infinity raises
-    json's ValueError.
+    Each distinct value of the document's float arrays is formatted once, by
+    the array kernel :func:`qrot._floattext.float_texts`, which gives the
+    text of ``float.__repr__``; each distinct value of an integer array is
+    formatted once per array. An array of any other dtype raises TypeError,
+    and one holding nan or an infinity raises json's ValueError.
     """
     return _encode(obj, "\n", _FloatTexts(obj)) + "\n"

@@ -172,6 +172,23 @@ def _support_system(inst, on, ref):
     return _SupportSystem(on, w, col_diag, w_scaled, schur, row_label, col_label, lines)
 
 
+def _curvature_terms(u, u_q, delta, on):
+    """``h = u_q+^2 - u+^2 - 2 u+ delta`` per cell of ``u_q = u + delta``, in
+    terms of one sign; ``on`` is ``u > 0``.
+
+    ``delta^2`` where ``u > 0`` and ``u_q > 0``, ``-u (u + 2 delta)`` where
+    only ``u > 0``, ``u_q^2`` where only ``u_q > 0``, and 0 where neither
+    is. Every cell is first written as if its sign stayed, and only the
+    cells whose sign changes, which are few once the support settles, are
+    written again.
+    """
+    h = np.where(on, delta * delta, 0.0)
+    flip = np.flatnonzero((u_q > 0) != on)
+    u_f, delta_f, u_q_f = u.take(flip), delta.take(flip), u_q.take(flip)
+    np.put(h, flip, np.where(on.take(flip), -u_f * (u_f + 2.0 * delta_f), u_q_f * u_q_f))
+    return h
+
+
 def _newton_step(inst, p, u, z, ref, system):
     """One damped semismooth Newton ascent step from ``p``, or ``None`` if none is taken.
 
@@ -204,7 +221,9 @@ def _newton_step(inst, p, u, z, ref, system):
     delta >= 0``, the gain is exactly ``t * slope - eps / 2 * sum(w h)``. Each
     case of ``h`` is a sum of terms of one sign, so the test holds its
     precision when the gain falls below the dual value's round-off, as it
-    does on the last steps.
+    does on the last steps. :func:`_curvature_terms` forms ``h`` from
+    ``delta^2`` on the support and 0 off it, and rewrites only the cells
+    whose sign changes at the trial point.
 
     Returns ``(step, system)``, where ``system`` is the support system of
     ``z``, or ``None`` when a row or a column of the support is empty. The
@@ -237,12 +256,7 @@ def _newton_step(inst, p, u, z, ref, system):
     for _ in range(MAX_BACKTRACKS):
         f, g = p.f + t * df, p.g + t * dg
         u_q = _unclipped_density(inst, f, g)
-        delta = (t / inst.epsilon) * d
-        h = np.where(
-            u_q > 0,
-            np.where(on, delta * delta, u_q * u_q),
-            np.where(on, -u * (u + 2.0 * delta), 0.0),
-        )
+        h = _curvature_terms(u, u_q, (t / inst.epsilon) * d, on)
         curvature = 0.5 * inst.epsilon * float(inst.mu_tilde @ h @ inst.nu_tilde)
         if t * (1.0 - ARMIJO) * slope >= curvature:
             q = Potentials(f=f, g=g)

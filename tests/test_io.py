@@ -25,6 +25,17 @@ FEW = settings(SETTINGS, max_examples=50)
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 EDGE_FLOATS += [1e16, 1e-7, 0.1, 123456789.0]
+# hard cases of the float text kernel: the smallest normal and the largest
+# subnormal, powers of two and ten with neighbours, ties at 17 digits,
+# rounding intervals that end on a shorter decimal, and the integers around
+# 1e16 and the values around 1e-4, where the layout switches
+HARD_FLOATS = [2.2250738585072014e-308, 2.225073858507201e-308, 2.225073858507202e-308]
+HARD_FLOATS += [2.0**-1074, 2.0**-1023, 2.0**-25, 2.0**60, 2.0**1023, 1e-323, 1e22, 1e23, 1e308]
+HARD_FLOATS += [18014398509481992.0, 4.056579431202816e31]
+HARD_FLOATS += [float(i) for i in range(10**16 - 3, 10**16 + 4)] + [1.0000000000000002e16]
+HARD_FLOATS += [1e-4, 9.999999999999999e-05, 0.00010000000000000002, 1e-5, 0.0001234, 123.0]
+HARD_FLOATS += [-x for x in HARD_FLOATS]
+EDGE_FLOATS += HARD_FLOATS
 EDGE_INTS = [0, -1, 2**53 + 1, -(2**63), 10**40]
 
 
@@ -163,7 +174,7 @@ def test_nonfinite_array_raises_value_error(arr, bad, where):
 # float16, float32 and float64 subnormals and extremes, besides the signed zeros
 SHARED_EDGES = [0.0, -0.0, 2.0**-24, 2.0**-149, 5e-324, -5e-324, 65504.0, -65504.0]
 SHARED_EDGES += [3.4028234663852886e38, 1.7976931348623157e308, -1.7976931348623157e308]
-SHARED_EDGES += [0.1, 0.5, 1e16]
+SHARED_EDGES += [0.1, 0.5, 1e16] + HARD_FLOATS
 FLOAT_DTYPES = [np.float16, np.float32, np.float64]
 
 

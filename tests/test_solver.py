@@ -391,6 +391,26 @@ class TestNewtonFinalizer:
         assert max_residual(inst, zq) <= 1e-13
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_curvature_terms_as_the_nested_formula(self, seed):
+        # u, delta and u_q = u + delta change sign on many cells, and hit 0 exactly
+        rng = np.random.default_rng(seed)
+        u = rng.choice([-1.0, 0.0, 1.0], (30, 40)) * rng.uniform(0.0, 2.0, (30, 40))
+        delta = rng.choice([-1.0, 0.0, 1.0], (30, 40)) * rng.uniform(0.0, 2.0, (30, 40))
+        zero = rng.random((30, 40)) < 0.1
+        delta[zero] = -u[zero]  # u_q exactly 0
+        u_q = u + delta
+        on = u > 0
+        old = np.where(
+            u_q > 0,
+            np.where(on, delta * delta, u_q * u_q),
+            np.where(on, -u * (u + 2.0 * delta), 0.0),
+        )
+        new = qrot.solver._curvature_terms(u, u_q, delta, on)
+        assert (u_q == 0).any() and ((u_q > 0) != on).any()
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
 class TestSupportSystemReuse:
     """Newton steps on an unchanged support reuse its system and give the same bits."""
 
