@@ -40,7 +40,6 @@ from .sparsity import (
     monotone_coupling_1d,
     northwest_corner,
     sweep_to_csv,
-    zero_cost_closed_form,
 )
 from .support import ComponentDecomposition, SupportSet, components, support_set
 

@@ -314,17 +314,24 @@ class _FloatTexts:
         bits = np.concatenate([a.reshape(-1) for a in arrays], dtype=np.float64).view(np.uint64)
         # np.unique(bits, return_inverse=True), holding fewer copies of the cells
         # at once; an int32 index suffices, since the texts alone of 2**31 cells
-        # would take 16 GB
+        # would take 16 GB. Only the cells other than +0.0 are sorted: +0.0, bit
+        # pattern 0, would sort first anyway, so it takes slot 0 of the table
+        nonzero = bits != 0
+        zero_slot = int(not nonzero.all())  # 1 when some cell is +0.0
+        bits = bits[nonzero]
         order = bits.argsort()
         bits = bits[order]
         first = np.empty(bits.size, dtype=bool)
-        first[0] = True
+        first[:1] = True
         np.not_equal(bits[1:], bits[:-1], out=first[1:])
-        unique = bits[first]
+        unique = np.concatenate([np.zeros(zero_slot, dtype=np.uint64), bits[first]])
         del bits
-        inverse = np.empty(order.size, dtype=np.int32)
-        inverse[order] = np.cumsum(first, dtype=np.int32) - 1
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.cumsum(first, dtype=np.int32) + (zero_slot - 1)
         del order, first
+        inverse = np.zeros(nonzero.size, dtype=np.int32)
+        inverse[nonzero] = rank
+        del nonzero, rank
         self._texts = np.array(float_texts(unique.view(np.float64)), dtype=object)
         stops = np.cumsum([a.size for a in arrays]).tolist()
         for key, start, stop in zip(found, [0, *stops], stops):

@@ -11,17 +11,21 @@ damped Newton steps on that Laplacian with an Armijo line search
 optimal transport", Appl. Math. Optim. 83, 2021). Once the support pattern
 is found, one step lands on the optimum up to round-off.
 
-Where no Newton step is taken, the solver runs one exact cyclic sweep. Each
-coordinate update of a sweep solves its marginal equation exactly: with the
-other potential held fixed, the map ``t -> sum_j w[j] * (t - theta[j])_+``
-is piecewise linear, continuous, nondecreasing and strictly increasing where
-positive, so for a positive target the root is unique. It is found by a
-finite active-set iteration (as in Michelot's and Condat's simplex
-projections): solve the linear equation over the current set of active
-breakpoints, drop the breakpoints above that solution, and repeat until the
-set stops changing. The set only shrinks, so at most ``m`` passes run, and
-the last solution is the exact root, with no tolerance. Both kinds of step
-never lower the dual value.
+Every solve opens with one exact cyclic sweep, and Newton steps begin at
+the second iteration: a warm start is made row-exact, then column-exact,
+before Newton searches for its support pattern, and a cold start from zero
+potentials with a nonnegative cost has no support on which a Newton step
+exists. Later, where no Newton step is taken, the solver runs a sweep too.
+Each coordinate update of a sweep solves its marginal equation exactly:
+with the other potential held fixed, the map ``t -> sum_j w[j] * (t -
+theta[j])_+`` is piecewise linear, continuous, nondecreasing and strictly
+increasing where positive, so for a positive target the root is unique. It
+is found by a finite active-set iteration (as in Michelot's and Condat's
+simplex projections): solve the linear equation over the current set of
+active breakpoints, drop the breakpoints above that solution, and repeat
+until the set stops changing. The set only shrinks, so at most ``m`` passes
+run, and the last solution is the exact root, with no tolerance. Both kinds
+of step never lower the dual value.
 
 The self-transport mode runs the same solver: its dual is concave and
 invariant under ``(f, g) -> (g, f)``, so the average ``(f + g) / 2`` of an
@@ -269,10 +273,13 @@ def _newton_step(inst, p, u, z, ref, system):
 def solve(inst, cfg=None, init=None):
     """Solve the dual by semismooth Newton steps, with exact cyclic sweeps as fallback.
 
-    Each iteration takes a :func:`_newton_step`, or one :func:`sweep` where
-    no Newton step is taken (a line of the support is empty, as at zero
-    potentials with a positive cost, or the line search fails); each sweep
-    and each Newton step counts as one iteration, against
+    The first iteration is always one :func:`sweep`. It makes a warm start
+    (``init``) row-exact, then column-exact, before Newton searches for the
+    support pattern; from zero potentials with a nonnegative cost every row
+    is empty, so no Newton step exists there anyway. Each later iteration
+    takes a :func:`_newton_step`, or one :func:`sweep` where no Newton step
+    is taken (a line of the support is empty or the line search fails); each
+    sweep and each Newton step counts as one iteration, against
     ``cfg.max_sweeps``. Each Newton step hands its support system to the
     next, which reuses it while the support pattern ``z > 0`` stays exactly
     the same; the reference product is formed once per call, and each
@@ -313,7 +320,9 @@ def solve(inst, cfg=None, init=None):
     system = None
     iterations = 0
     for iterations in range(1, cfg.max_sweeps + 1):
-        step, system = _newton_step(inst, p, u, z, ref, system)
+        step = None
+        if iterations > 1:
+            step, system = _newton_step(inst, p, u, z, ref, system)
         if step is None:
             p = sweep(inst, p)
             u = _unclipped_density(inst, p.f, p.g)

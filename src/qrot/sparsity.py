@@ -7,9 +7,7 @@ the support of the regularized coupling contracts into a neighborhood of the
 monotone plan, and the rescaled potentials converge. :func:`epsilon_sweep`
 runs that experiment on a loaded ``quadratic_1d`` instance
 (:class:`qrot.io.LoadedInstance`), whose points place the cells and whose
-weights and references it solves at each epsilon. Also covers the
-zero-cost closed forms, where the optimal density is available explicitly
-whenever the marginal/reference ratios are jointly large enough.
+weights and references it solves at each epsilon.
 """
 
 import csv
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Potentials,
     ValidationError,
     _epsilon,
     _normalized_weights,
@@ -34,7 +31,6 @@ __all__ = [
     "monotone_coupling_1d",
     "epsilon_sweep",
     "sweep_to_csv",
-    "zero_cost_closed_form",
 ]
 
 
@@ -111,9 +107,11 @@ def epsilon_sweep(loaded, epsilons, delta, cfg=None):
     epsilon, records the support size of the solved coupling and the fraction
     of its mass on cells within (coordinate, Euclidean) distance ``delta`` of
     some cell of the monotone plan; ``delta`` must be finite and nonnegative.
-    Successive solves are warm started from the previous rescaled potentials,
-    which converge as epsilon decreases. A non-converged solve is recorded
-    through its report and the sweep continues.
+    Each solve after the first is warm started from the previous epsilon's
+    potentials, as they are; its opening sweep (:func:`qrot.solver.solve`)
+    makes them exact for the new epsilon row by row and column by column
+    before Newton steps run. A non-converged solve is recorded through its
+    report and the sweep continues.
     """
     if loaded.x is None or loaded.y is None:
         raise ValidationError("sweep requires an instance with a quadratic_1d generator")
@@ -224,23 +222,3 @@ def sweep_to_csv(result, path):
                 ]
             )
 
-
-def zero_cost_closed_form(inst):
-    """Closed-form solution for zero cost, when the density has full support.
-
-    If ``min_i mu[i]/mu_tilde[i] + min_j nu[j]/nu_tilde[j] > 1`` the optimal
-    density is ``z[i, j] = mu[i]/mu_tilde[i] + nu[j]/nu_tilde[j] - 1`` with
-    explicit potentials; returns ``(Potentials, z)`` with ``z`` read-only.
-    Otherwise the support is not full and the solver must be used; returns
-    ``None``.
-    """
-    if np.any(inst.cost != 0):
-        raise ValidationError("nonzero cost")
-    r = inst.mu_ratio
-    s = inst.nu_ratio
-    if r.min() + s.min() <= 1.0:
-        return None
-    z = r[:, None] + s[None, :] - 1.0
-    p = Potentials(f=inst.epsilon * (r - 0.5), g=inst.epsilon * (s - 0.5))
-    z.setflags(write=False)
-    return p, z

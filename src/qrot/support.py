@@ -5,8 +5,10 @@ changing only the row and only the column coordinate; this is bipartite-graph
 connectivity, not topological connectivity. Components are computed by
 array label propagation over the rows: every row's label falls to the
 smallest row reachable from it, and columns and cells take their rows'
-labels. The Newton solver and the polytope's rigidity classes use the same
-labelling (:func:`_line_labels`).
+labels. Propagation starts from runs of consecutive rows that share a
+column, so a support joined row by row needs no propagation round. The
+Newton solver and the polytope's rigidity classes use the same labelling
+(:func:`_line_labels`).
 """
 
 import warnings
@@ -77,27 +79,33 @@ class ComponentDecomposition:
     unmatched_cols: tuple = ()
 
 
-def _row_roots(mask):
+def _row_roots(mask, joined):
     """Smallest row index of each row's component in the bipartite graph ``mask``.
 
-    Min-label hooking with pointer jumping, after Shiloach and Vishkin (1982).
-    ``root`` starts as ``arange(n)`` and is always a forest of stars. Each
-    round every column takes the smallest root among its rows, every row the
-    smallest of those among its columns, and each tree root hooks onto the
-    smallest value any of its rows saw; pointer jumping then flattens the
-    forest back into stars. Hooking the tree root, not only the row, merges
-    whole trees at once, which keeps the round count small on long paths.
+    ``joined[i]`` says whether rows ``i`` and ``i + 1`` share a column. Min-label
+    hooking with pointer jumping, after Shiloach and Vishkin (1982). ``root``
+    starts as a forest of stars: each run of consecutive rows joined this way
+    hooks onto its first row (``np.maximum.accumulate`` over the run starts),
+    and a row that starts a run is its own root. Each round every column
+    takes the smallest root among its rows, every row the smallest of those
+    among its columns, and each tree root hooks onto the smallest value any
+    of its rows saw; pointer jumping then flattens the forest back into
+    stars. Hooking the tree root, not only the row, merges whole trees at
+    once, which keeps the round count small on long paths.
 
-    A label only ever decreases and always names a row of the same component
-    (it travelled there along an alternating path), so the loop ends. A row
-    never sees a label above its own, and at the fixed point it sees none
-    below it either, so all rows of a column share one label, and by
-    induction along paths so do all rows of a component. That label is a row
-    of the component and at most every row index in it, hence its smallest
-    row. Rows meeting no column keep their own index.
+    Every label names a row of the same component and is never above the
+    row's own index: the seed's run start is such a row, and later labels
+    travel along alternating paths and only decrease. So the loop ends. At
+    the fixed point a row sees no label below its own, so all rows of a
+    column share one label, and by induction along paths so do all rows of
+    a component. That label is a row of the component and at most every row
+    index in it, hence its smallest row, whatever the seed. Rows meeting no
+    column keep their own index.
     """
     n = mask.shape[0]
-    root = np.arange(n)
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = ~joined
+    root = np.maximum.accumulate(np.where(run_start, np.arange(n), 0))
     while True:
         col_min = np.where(mask, root[:, None], n).min(axis=0, initial=n)
         row_min = np.where(mask, col_min, n).min(axis=1, initial=n)
@@ -128,15 +136,27 @@ def _line_labels(mask):
     Returns ``(row_label, col_label, count)``. Every row takes the smallest
     row of its component (:func:`_row_roots`), and the ids are the ranks of
     those roots among the rows that meet the support, so ids are dense and
-    follow each component's smallest row. A column takes the id of any row
-    it meets. A row or column that meets no cell is labelled -1.
+    follow each component's smallest row. A column takes the id of its first
+    support row. A row or column that meets no cell is labelled -1.
+
+    When each pair of consecutive rows shares a column and every column
+    meets the support, the seed of :func:`_row_roots` already joins every row
+    into one component, so every line gets id 0 at once, with no hooking
+    round.
     """
-    n = mask.shape[0]
-    root = _row_roots(mask)
+    n, m = mask.shape
+    if not mask.size:
+        return np.full(n, -1), np.full(m, -1), 0
+    joined = (mask[1:] & mask[:-1]).any(axis=1)
+    first = mask.argmax(axis=0)
+    matched_cols = mask[first, np.arange(m)]
+    if joined.all() and matched_cols.all():
+        return np.zeros(n, dtype=int), np.zeros(m, dtype=int), 1
+    root = _row_roots(mask, joined)
     matched_rows = mask.any(axis=1)
     is_root = matched_rows & (root == np.arange(n))
     row_label = np.where(matched_rows, np.cumsum(is_root)[root] - 1, -1)
-    col_label = np.where(mask, row_label[:, None], -1).max(axis=0, initial=-1)
+    col_label = np.where(matched_cols, row_label[first], -1)
     return row_label, col_label, int(np.count_nonzero(is_root))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qrot import northwest_corner, validate_instance
+from qrot import Potentials, ValidationError, northwest_corner, validate_instance
 from qrot.io import instance_from_dict
 
 
@@ -250,6 +250,53 @@ def bfs_components(mask):
         "unmatched_rows": tuple(i for i in range(n) if row_id[i] < 0),
         "unmatched_cols": tuple(j for j in range(m) if col_id[j] < 0),
     }
+
+
+def union_find_labels(mask):
+    """``(row_label, col_label, count)`` of ``mask``, by union-find over its cells.
+
+    Nodes ``0 .. n - 1`` are the rows and ``n .. n + m - 1`` the columns; each
+    support cell unites its row and its column. Ids follow each component's
+    smallest row, and a row or column that meets no cell gets -1, as
+    :func:`qrot.support._line_labels` promises.
+    """
+    n, m = mask.shape
+    parent = list(range(n + m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in np.argwhere(mask).tolist():
+        a, b = find(i), find(n + j)
+        parent[max(a, b)] = min(a, b)
+    ids = {}
+    row_label = [ids.setdefault(find(i), len(ids)) if mask[i].any() else -1 for i in range(n)]
+    col_label = [ids[find(n + j)] if mask[:, j].any() else -1 for j in range(m)]
+    return np.array(row_label, dtype=int), np.array(col_label, dtype=int), len(ids)
+
+
+def zero_cost_closed_form(inst):
+    """Closed-form solution for zero cost, when the density has full support.
+
+    If ``min_i mu[i]/mu_tilde[i] + min_j nu[j]/nu_tilde[j] > 1`` the optimal
+    density is ``z[i, j] = mu[i]/mu_tilde[i] + nu[j]/nu_tilde[j] - 1`` with
+    explicit potentials; returns ``(Potentials, z)`` with ``z`` read-only.
+    Otherwise the support is not full and the solver must be used; returns
+    ``None``.
+    """
+    if np.any(inst.cost != 0):
+        raise ValidationError("nonzero cost")
+    r = inst.mu_ratio
+    s = inst.nu_ratio
+    if r.min() + s.min() <= 1.0:
+        return None
+    z = r[:, None] + s[None, :] - 1.0
+    p = Potentials(f=inst.epsilon * (r - 0.5), g=inst.epsilon * (s - 0.5))
+    z.setflags(write=False)
+    return p, z
 
 
 def partition_check(d):

@@ -29,7 +29,6 @@ from qrot import (
     validate_instance,
     verify_potentials,
     with_epsilon,
-    zero_cost_closed_form,
 )
 from qrot.io import instance_from_dict
 from conftest import (
@@ -43,6 +42,7 @@ from conftest import (
     random_weights,
     two_point_offdiag,
     two_point_ondiag,
+    zero_cost_closed_form,
     zero_cost_skewed,
 )
 

@@ -224,6 +224,23 @@ def test_shared_values_same_bytes_as_their_lists(doc):
     assert canonical_json(doc) == reference(tolist(doc))
 
 
+# +0.0 cells stay out of the document's sort and take the first slot of its table
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"z": np.zeros((3, 4))},
+        {"z": np.zeros(5), "w": np.zeros((2, 2), dtype=np.float32), "x": 0.0},
+        {"z": np.array([0.0, -0.0, -0.0, 0.0]), "w": np.array([[-0.0, 1.5], [0.0, -2.0]])},
+        {"z": np.array([-0.0, -0.0]), "w": np.array([5e-324, -5e-324])},
+        {"z": np.array([1.5, -2.0, 1.5, 3e-300]), "w": np.array([[-5e-324, 0.1]])},
+        {"z": np.array([[0.0, 0.25, 0.0], [0.25, 0.0, 1e16]]), "w": np.array(HARD_FLOATS)},
+    ],
+    ids=["only +0.0", "+0.0 across dtypes", "mixed ±0.0", "only -0.0", "no zero", "sparse"],
+)
+def test_zero_cells_same_bytes_as_their_lists(doc):
+    assert canonical_json(doc) == reference(tolist(doc))
+
+
 @FEW
 @given(
     shared_pool_documents(),

@@ -14,6 +14,7 @@ from qrot import (
     solve_symmetric,
     sweep,
     validate_instance,
+    with_epsilon,
 )
 from qrot.model import max_residual
 from qrot.solver import _pw_roots
@@ -313,17 +314,23 @@ class TestNewtonFinalizer:
         p, report = solve(inst, SolverConfig(normalization="none"))
         assert report.converged
         assert abs(report.duality_gap) <= 1e-12
-        # the zero start has no support (positive cost), so the first step is a sweep
-        assert calls[0] == (False, True, True)
+        # the opening sweep is no Newton attempt
+        assert len(calls) == report.iterations - 1
         assert any(taken for taken, _, _ in calls)
-        # knock the tiny row and column off the support of the optimum
-        calls.clear()
+        # knock the tiny row and column off the support of the optimum: a
+        # Newton step finds them empty and gives way to a sweep
         start = Potentials(p.f - np.eye(5)[0], p.g - np.eye(7)[-1])
-        assert not (density_from_potentials(inst, start)[0] > 0).any()
+        u = qrot.solver._unclipped_density(inst, start.f, start.g)
+        z = np.maximum(0.0, u)
+        assert not (z[0] > 0).any() and not (z[:, -1] > 0).any()
+        calls.clear()
+        step, system = qrot.solver._newton_step(inst, start, u, z, inst.ref_weights, None)
+        assert step is None and system is None
+        assert calls == [(False, True, True)]
+        calls.clear()
         q, report = solve(inst, SolverConfig(normalization="none"), init=start)
         assert report.converged
-        assert calls[0] == (False, True, True)
-        assert any(taken for taken, _, _ in calls[1:])
+        assert any(taken for taken, _, _ in calls)
         z = density_from_potentials(inst, q)
         assert np.max(np.abs(z - density_from_potentials(inst, p))) <= 1e-9
 
@@ -372,8 +379,13 @@ class TestNewtonFinalizer:
             return (q, uq, zq, qrot.solver._dual_value(inst, q, zq)), system
 
         monkeypatch.setattr(qrot.solver, "_newton_step", lowering)
+        # one sweep leaves this cold start short of the tolerance, so iteration 2
+        # takes the lowering step; a warm start at the optimum would stop after
+        # its opening sweep, with no Newton step
+        swept = sweep(inst, Potentials(np.zeros(4), np.zeros(4)))
+        assert max_residual(inst, density_from_potentials(inst, swept)) > 1e-10
         with pytest.raises(RuntimeError, match="dual objective decreased"):
-            solve(inst, init=solve(inst)[0])
+            solve(inst)
 
     def test_newton_step_on_the_settled_support_is_exact(self):
         # once sweeps have settled the support, the dual is quadratic there
@@ -409,6 +421,75 @@ class TestNewtonFinalizer:
         new = qrot.solver._curvature_terms(u, u_q, delta, on)
         assert (u_q == 0).any() and ((u_q > 0) != on).any()
         assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+class TestOpeningSweep:
+    """Iteration 1 of every solve is an exact sweep; Newton steps begin at iteration 2."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # epsilon_sweep's warm start: the potentials of the previous epsilon
+            lambda: (one_d_instance(np.random.default_rng(4), 50, 0.1), 0.01),
+            lambda: (one_d_instance(np.random.default_rng(5), 50, 0.01), 0.001),
+            lambda: (block_instance(np.random.default_rng(6), 10), 0.02),
+        ],
+        ids=["1d-0.1", "1d-0.01", "blocks"],
+    )
+    def test_warm_start_opens_with_a_sweep(self, monkeypatch, make):
+        inst, eps = make()
+        warm, _ = solve(inst)
+        inst = with_epsilon(inst, eps)
+        calls, duals = [], []
+        step, swept, dual_value = (
+            qrot.solver._newton_step,
+            qrot.solver.sweep,
+            qrot.solver._dual_value,
+        )
+
+        def recording_step(*args):
+            calls.append("newton")
+            return step(*args)
+
+        def recording_sweep(*args):
+            calls.append("sweep")
+            return swept(*args)
+
+        def recording_dual(*args):
+            duals.append(dual_value(*args))
+            return duals[-1]
+
+        monkeypatch.setattr(qrot.solver, "_newton_step", recording_step)
+        monkeypatch.setattr(qrot.solver, "sweep", recording_sweep)
+        monkeypatch.setattr(qrot.solver, "_dual_value", recording_dual)
+        p, report = solve(inst, init=warm)
+        assert report.converged
+        assert calls[0] == "sweep" and "newton" in calls
+        # one dual value for the start and one per iteration; the sweep raises it
+        # from the warm start, and no later iterate lowers it beyond round-off
+        # (the last Newton steps change it by a few ulps, in either direction)
+        assert len(duals) == report.iterations + 1
+        assert duals[1] > duals[0]
+        assert all(b >= a - 1e-15 * (1.0 + abs(a)) for a, b in zip(duals, duals[1:]))
+        z = density_from_potentials(inst, p)
+        assert np.max(np.abs(z - density_from_potentials(inst, solve(inst)[0]))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: one_d_instance(np.random.default_rng(7), 40, 0.01),
+            lambda: random_instance(np.random.default_rng(8), 6, 9, cost_kind="gaussian"),
+            lambda: two_point_offdiag(1.0),
+        ],
+        ids=["1d", "negative-cost", "two-point"],
+    )
+    def test_zero_init_matches_the_default(self, make):
+        inst = make()
+        p, report = solve(inst)
+        q, again = solve(inst, init=Potentials(np.zeros(inst.n), np.zeros(inst.m)))
+        assert np.array_equal(p.f.view(np.uint64), q.f.view(np.uint64))
+        assert np.array_equal(p.g.view(np.uint64), q.g.view(np.uint64))
+        assert report == again
 
 
 class TestSupportSystemReuse:

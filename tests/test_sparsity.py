@@ -19,11 +19,16 @@ from qrot import (
     support_set,
     validate_instance,
     with_epsilon,
-    zero_cost_closed_form,
 )
 from qrot.io import LoadedInstance, instance_from_dict
 from qrot.sparsity import _neighborhood_mask
-from conftest import block_cost, midpoint_grid, quadratic_doc, zero_cost_skewed
+from conftest import (
+    block_cost,
+    midpoint_grid,
+    quadratic_doc,
+    zero_cost_closed_form,
+    zero_cost_skewed,
+)
 
 
 def broadcast_neighborhood_mask(xs, ys, base_mask, delta):
