@@ -22,24 +22,25 @@ and schema 1 in addition ``density.pi``, the expanded cost of generator
 instances and ``support.mask``. :func:`report_from_dict` reads reports of
 all three schemas and ignores these fields.
 
-Serialization is canonical (:func:`canonical_json`): sorted keys, two-space
-indent, shortest round-trip floats, a trailing newline, byte for byte what
-``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` writes, so
+Serialization is canonical (:func:`canonical_json`): ``json.dumps(obj,
+indent=2, sort_keys=True, allow_nan=False)`` and a trailing newline, so
 identical inputs produce byte-identical reports. Report builders pass numpy
-float and integer arrays as they are; the encoder writes each one as
-``json.dumps`` writes its ``tolist()``, formatting each distinct number of
-the document once, which pays off on the repeated cells of a symmetric cost
-or density, of the component labels, of a sparse density's zeros and of the
-polytope's ``a`` and its closure ``dist``, which share most of their values.
-The texts of the distinct floats come from :mod:`qrot._floattext`, which
-computes ``float.__repr__`` of a whole array in numpy, so the bytes are still
-those of ``json.dumps``.
+float and integer arrays as they are. ``json.dumps`` writes the document with
+a stand-in for each array, and the package writes the array in its place, as
+``json.dumps`` writes its ``tolist()``. Each distinct number is formatted
+once: those of all float arrays of the document together, those of an
+integer array per array. That pays off on the repeated cells of a symmetric
+cost or density, of the component labels, of a sparse density's zeros and of
+the polytope's ``a`` and its closure ``dist``, which share most of their
+values. The texts of the distinct floats come from
+:mod:`qrot._floattext`, which computes ``float.__repr__`` of a whole array in
+numpy, so the bytes are still those of ``json.dumps``.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -260,42 +261,32 @@ def decode_extended(rows):
     return arr
 
 
-_PLAIN_NUMBERS = {float, int}
-_LEAVES = (str, int, float, type(None))
+# json.dumps writes this string in place of each array it passes to _park:
+# NUL and 128 random bits, which no document string matches
+_STAND_IN = "\x00qrot-array-" + os.urandom(16).hex()
 
 
-def _float(o):
-    if o != o or o in (math.inf, -math.inf):
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
-    return float.__repr__(o)
-
-
-def _key(k):
-    if not isinstance(k, str):
-        if not (k is None or isinstance(k, (int, float))):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
-            )
-        k = _encode(k, "", None)
-    return encode_basestring_ascii(k)
-
-
-def _float_arrays(o, found):
-    """Add every float array of ``o`` that has cells to ``found``, keyed by ``id``."""
-    if isinstance(o, np.ndarray):
-        if o.dtype.kind == "f" and o.dtype.itemsize <= 8 and o.ndim and o.size:
-            found[id(o)] = o
-    elif isinstance(o, dict):
-        for v in o.values():
-            _float_arrays(v, found)
-    elif isinstance(o, (list, tuple)):
-        for v in o:
-            if not isinstance(v, _LEAVES):
-                _float_arrays(v, found)
+def _park(o, arrays):
+    """The ``default`` hook of :func:`canonical_json`: a nonempty float or
+    integer array goes to ``arrays``, and ``json.dumps`` writes the stand-in in
+    its place; a 0-d or empty one is its ``tolist()``."""
+    if not isinstance(o, np.ndarray):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    kind = o.dtype.kind
+    if not (kind in "iu" or (kind == "f" and o.dtype.itemsize <= 8)):
+        raise TypeError(f"Object of type ndarray of {o.dtype} is not JSON serializable")
+    if o.ndim == 0 or o.size == 0:
+        return o.tolist()
+    finite = np.isfinite(o)  # all true on an integer array
+    if not finite.all():
+        json.dumps(float(o[~finite][0]), allow_nan=False)  # raises json's ValueError
+    arrays.append(o)
+    return _STAND_IN
 
 
 class _FloatTexts:
-    """The number texts of the cells of one document's float arrays.
+    """The number texts of the cells of the float arrays that one
+    :func:`canonical_json` call parked.
 
     One sort of the bit patterns of all of them, so that 0.0 and -0.0 stay
     apart, and the ``repr`` text of each distinct value from
@@ -304,9 +295,8 @@ class _FloatTexts:
     written, so those of one array at a time are held.
     """
 
-    def __init__(self, doc):
-        found = {}
-        _float_arrays(doc, found)
+    def __init__(self, arrays):
+        found = {id(a): a for a in arrays if a.dtype.kind == "f"}
         self._index = {}
         if not found:
             return
@@ -343,7 +333,9 @@ class _FloatTexts:
 
 
 def _rows(cells, pad, depth):
-    """``_encode`` of nested lists of ``depth`` levels holding JSON number texts."""
+    """JSON text of nested lists of ``depth`` levels holding number texts, as
+    ``json.dumps`` indents them; ``pad`` is a newline plus the indentation of
+    the line the text continues."""
     inner = pad + "  "
     if depth > 1:
         cells = [_rows(row, inner, depth - 1) for row in cells]
@@ -351,19 +343,12 @@ def _rows(cells, pad, depth):
 
 
 def _array(arr, pad, floats):
-    """``_encode(arr.tolist(), pad)`` for a float or integer array; a float array
-    takes its texts from ``floats``, an integer array formats each of its
-    distinct values once: every value from its least to its greatest when
-    that range is no larger than the array, which needs no sort."""
-    kind = arr.dtype.kind
-    if not (kind in "iu" or (kind == "f" and arr.dtype.itemsize <= 8)):
-        raise TypeError(f"Object of type ndarray of {arr.dtype} is not JSON serializable")
-    if arr.ndim == 0 or arr.size == 0:
-        return _encode(arr.tolist(), pad, None)
-    if kind == "f":
-        finite = np.isfinite(arr)
-        if not finite.all():
-            _float(float(arr[~finite][0]))  # raises json's ValueError
+    """What ``json.dumps`` writes for ``arr.tolist()`` of a parked array whose
+    first line continues a line indented by ``pad``. A float array takes its
+    texts from ``floats``, an integer array formats each of its distinct
+    values once: every value from its least to its greatest when that range
+    is no larger than the array, which needs no sort."""
+    if arr.dtype.kind == "f":
         cells = floats.cells(arr)
     else:
         low, high = arr.min(), int(arr.max())
@@ -379,63 +364,38 @@ def _array(arr, pad, floats):
     return _rows(cells, pad, arr.ndim)
 
 
-def _encode(o, pad, floats):
-    """JSON text of ``o`` whose first line continues a line; ``pad`` is a newline
-    plus the indentation of that line, and ``floats`` the :class:`_FloatTexts`
-    of the document."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    if isinstance(o, np.ndarray):
-        return _array(o, pad, floats)
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        body = None
-        if set(map(type, o)) <= _PLAIN_NUMBERS:
-            # repr of an exact int or float is int.__repr__ or float.__repr__,
-            # and only nan and the infinities write an "n"
-            body = sep.join(map(repr, o))
-            if "n" in body:
-                body = None  # the per-item route raises on the first one
-        if body is None:
-            body = sep.join([_encode(v, inner, floats) for v in o])
-        return "".join(("[", inner, body, pad, "]"))  # copies body once, + would twice
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        body = sep.join(
-            [_key(k) + ": " + _encode(v, inner, floats) for k, v in sorted(o.items())]
-        )
-        return "".join(("{", inner, body, pad, "}"))
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
 def canonical_json(obj):
     """Deterministic serialization: sorted keys, two-space indent, trailing newline.
 
-    Byte-identical to ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"``, including its ValueError on nan and infinities
-    and its TypeError on unsupported types, but list-joins numbers instead of
-    running the json module's pure-Python indenting encoder item by item.
-
-    A numpy float or integer array (of any shape, 0-d and empty included) is
-    written exactly as ``json.dumps`` writes ``arr.tolist()`` at that depth.
-    Each distinct value of the document's float arrays is formatted once, by
-    the array kernel :func:`qrot._floattext.float_texts`, which gives the
-    text of ``float.__repr__``; each distinct value of an integer array is
-    formatted once per array. An array of any other dtype raises TypeError,
-    and one holding nan or an infinity raises json's ValueError.
+    ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
+    which also takes numpy float and integer arrays of any shape. An array
+    is written exactly as ``json.dumps`` writes its ``tolist()`` at that
+    depth: ``json.dumps`` writes a stand-in for each nonempty one, and the
+    package writes its cells in the stand-in's place. Each distinct value of
+    the document's float arrays is formatted once, by the array kernel
+    :func:`qrot._floattext.float_texts`, which gives the text of
+    ``float.__repr__``; each distinct value of an integer array is formatted
+    once per array. An array of any other dtype raises TypeError, and one
+    holding nan or an infinity raises json's ValueError.
     """
-    return _encode(obj, "\n", _FloatTexts(obj)) + "\n"
+    arrays = []
+    try:
+        text = json.dumps(
+            obj, indent=2, sort_keys=True, allow_nan=False, default=lambda o: _park(o, arrays)
+        )
+        floats = _FloatTexts(arrays)
+        parts = text.split(json.dumps(_STAND_IN))
+        out = [parts[0]]
+        # json.dumps calls the hook in the order it writes, and under indent=2
+        # each stand-in is on a line of its own (after its key, in an object),
+        # whose indentation is the stand-in's pad
+        for arr, before, after in zip(arrays, parts, parts[1:]):
+            line = before[before.rfind("\n") + 1 :]
+            pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            out += (_array(arr, pad, floats), after)
+        out.append("\n")
+        return "".join(out)
+    finally:
+        # json's indenting encoder holds the hook in a reference cycle until
+        # the next collection; emptied, the list keeps no array alive
+        arrays.clear()

@@ -210,11 +210,12 @@ class Potentials:
 
 
 def _check_potentials(inst, p):
-    """Raise a ValidationError unless ``p`` has one entry per row and per column."""
-    if p.f.size != inst.n or p.g.size != inst.m:
+    """Raise a ValidationError unless ``p.f`` and ``p.g`` are vectors with one
+    entry per row and per column."""
+    if p.f.shape != (inst.n,) or p.g.shape != (inst.m,):
         raise ValidationError(
-            f"dimension mismatch: potentials have sizes ({p.f.size}, {p.g.size}),"
-            f" expected ({inst.n}, {inst.m})"
+            f"dimension mismatch: potentials have shapes {p.f.shape}, {p.g.shape},"
+            f" expected ({inst.n},), ({inst.m},)"
         )
 
 

@@ -24,8 +24,10 @@ is found by a finite active-set iteration (as in Michelot's and Condat's
 simplex projections): solve the linear equation over the current set of
 active breakpoints, drop the breakpoints above that solution, and repeat
 until the set stops changing. The set only shrinks, so at most ``m`` passes
-run, and the last solution is the exact root, with no tolerance. Both kinds
-of step never lower the dual value.
+run, and the last solution is the exact root, with no tolerance. In exact
+arithmetic neither kind of step lowers the dual value; in floating point the
+last Newton steps, whose gain is below the dual value's round-off, can lower
+it by a few ulps, and :func:`solve` allows that much.
 
 The self-transport mode runs the same solver: its dual is concave and
 invariant under ``(f, g) -> (g, f)``, so the average ``(f + g) / 2`` of an
@@ -290,7 +292,8 @@ def solve(inst, cfg=None, init=None):
     and can leave density of order 1e-9 on cells of zero optimal density;
     the short step that follows is exact to machine precision. Every
     iteration takes the residual and the dual value from the density of
-    its new iterate; a dual value that decreases raises ``RuntimeError``.
+    its new iterate; a dual value that falls by more than ``1e-12 * (1 +
+    |previous value|)``, far above its round-off, raises ``RuntimeError``.
     The configured normalization shift is applied once after the loop, and
     the report is taken from the one density of the shifted potentials
     returned. Non-convergence is reported through ``report.converged =

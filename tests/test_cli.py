@@ -894,6 +894,10 @@ class TestMalformedReports:
             (_set(["a", "b"], "potentials", "f"), "report field 'potentials': field 'f' is not"),
             (_set([0.0, None], "potentials", "g"), "nonfinite potential at g[1]"),
             (_set([1.0, 2.0], "potentials"), "report field 'potentials' must be a JSON object"),
+            (
+                _set([[0.1, 0.2]], "potentials", "f"),
+                "dimension mismatch: potentials have shapes (1, 2), (2,), expected (2,), (2,)",
+            ),
             (_set("none", "provenance"), "report field 'provenance' must be a JSON object"),
             (_set("abc", "provenance", "tol_residual"), "report field 'provenance': field"),
             (_set(-1.0, "provenance", "tol_residual"), "report tol_residual must be finite"),
@@ -1165,6 +1169,18 @@ class TestVerifyCommand:
         pot_path = write_json(tmp_path / "pot.json", {"f": [0.0, 0.0]})
         rc = main(["verify", inst_path, "--potentials", pot_path])
         assert rc == 1
+
+    def test_nested_potentials_exit_one(self, tmp_path, capsys):
+        # the right number of entries, but not a vector: no verdict on broadcast cells
+        inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
+        pot_path = write_json(tmp_path / "pot.json", {"f": [[0.1, 0.2]], "g": [0.1, 0.2]})
+        rc = main(["verify", inst_path, "--potentials", pot_path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dimension mismatch: potentials have shapes (1, 2), (2,), expected (2,), (2,)\n"
+        )
 
     def test_non_numeric_potentials_exit_one(self, tmp_path, capsys):
         inst_path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))

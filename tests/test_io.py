@@ -7,8 +7,10 @@ trees.
 """
 
 import enum
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -45,12 +47,13 @@ def reference(obj):
 
 floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 ints = st.integers() | st.sampled_from(EDGE_INTS)
-# quotes, backslashes, control characters, non-ASCII and astral characters
+# quotes, backslashes, control characters, non-ASCII and astral characters, and
+# the start of the stand-in that json.dumps writes in place of an array
 texts = st.text(
     st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/é€😀') | st.characters(),
     max_size=8,
-)
-# plain numbers take the list-join route; a bool or None among them the per-item route
+) | st.sampled_from(["\x00", "\x00qrot-array-"])
+# lists of plain numbers, and of numbers with a bool or None among them
 number_lists = st.lists(ints | floats, max_size=12) | st.lists(
     ints | floats | st.booleans() | st.none(), max_size=12
 )
@@ -128,8 +131,8 @@ def tolist(obj):
         return obj.tolist()
     if isinstance(obj, dict):
         return {k: tolist(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [tolist(v) for v in obj]
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(tolist(v) for v in obj)
     return obj
 
 
@@ -147,7 +150,9 @@ ints64 = st.integers(-(2**63), 2**63 - 1)
 arrays = arrays_from(np.float64, floats, EDGE_FLOATS) | arrays_from(np.int64, ints64, INT64_EDGES)
 array_trees = st.recursive(
     arrays,
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(texts, children, max_size=3),
     max_leaves=5,
 )
 
@@ -266,6 +271,22 @@ def test_no_state_carries_between_documents(first, second):
     canonical_json(first)
     assert canonical_json(second) == expected
     assert canonical_json(first) == reference(tolist(first))
+
+
+def test_no_array_outlives_the_call():
+    # json's indenting encoder keeps the default hook in a reference cycle, which
+    # nothing collects here; the arrays it was handed must be freed all the same
+    arrays = [np.linspace(0.0, 1.0, 7), np.arange(5), np.eye(3), np.array([[-0.0, 2.5]])]
+    refs = [weakref.ref(a) for a in arrays]
+    doc = {"list": [arrays[0], arrays[1]], "tuple": (arrays[2], 1.5), "a": arrays[3]}
+    expected = reference(tolist(doc))
+    gc.disable()
+    try:
+        assert canonical_json(doc) == expected
+        del doc, arrays
+        assert [r() is None for r in refs] == [True] * len(refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
