@@ -4,17 +4,15 @@ Commands: ``solve`` (report of the solve), ``analyze`` (components and
 polytope of an instance or of a solve report), ``sweep`` (epsilon schedule to
 CSV), ``verify`` (membership test for a user-supplied potential pair) and
 ``oracle`` (dual solve against the projection solver). Each command takes
-only the flags its output depends on: ``--normalization`` belongs to
-``solve`` (the only command that writes potentials) and exits 1 on a
-self-transport solve, where the shift cancels in ``(f + g) / 2``; ``--seed``
-and ``--tau-rel`` belong to ``analyze`` (the only command that draws random
-numbers or builds the support), and ``sweep`` takes its epsilons from
-``--eps-list`` and always runs the general solve, on the file's weights,
-references and points at each epsilon. Flags must be spelled out in full;
-any other flag exits 2 with argparse's usage message. Every command checks
-its flags, ``--eps`` included, before it loads any input, except that
-``analyze`` reads its file before its solver flags: a report answers them
-with the rule below, and an unreadable file still gets a bad one named.
+only the flags its output depends on: ``--seed`` and ``--tau-rel`` belong to
+``analyze`` (the only command that draws random numbers or builds the
+support), and ``sweep`` takes its epsilons from ``--eps-list`` and always
+runs the general solve, on the file's weights, references and points at each
+epsilon. Flags must be spelled out in full; any other flag exits 2 with
+argparse's usage message. Every command checks its flags, ``--eps``
+included, before it loads any input, except that ``analyze`` reads its file
+before its solver flags: a report answers them with the rule below, and an
+unreadable file still gets a bad one named.
 
 Exit codes: 0 success, 1 input error (message names the offending field, or
 the file that is missing, a directory or not readable), 2 non-convergence or
@@ -26,14 +24,11 @@ miss their marginals; ``verify`` prints its verdict and exits 2 ahead of 0
 or 3 when its solve does not converge), 3 verification rejected. Every error
 prints one ``error: ...`` line, never a traceback. ``analyze`` on a report
 reuses the report's solve, so ``--eps``, ``--tol``, ``--max-sweeps`` and
-``--symmetric`` exit 1 there. The environment variable ``QROT_SEED`` overrides ``--seed`` of
-``analyze``; a seed that is negative or not an integer, and a negative
-``--samples``, exit 1.
+``--symmetric`` exit 1 there. A negative ``--seed`` or ``--samples`` exits 1.
 """
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -50,7 +45,7 @@ from .model import (
 )
 from .polytope import compute_polytope, sample_shifts, verify_potentials
 from .projection import project
-from .solver import NORMALIZATIONS, SolverConfig, solve, solve_symmetric
+from .solver import SolverConfig, solve, solve_symmetric
 from .sparsity import _epsilon_schedule, epsilon_sweep, sweep_to_csv
 from .support import DEFAULT_TAU_REL, components, support_set
 
@@ -58,20 +53,6 @@ __all__ = ["main", "entry"]
 
 DEFAULT_VERIFY_TOL = 1e-8
 DEFAULT_ORACLE_TOL = 1e-6
-
-
-def _seed(args):
-    env = os.environ.get("QROT_SEED")
-    if env is None:
-        seed, source = args.seed, "--seed"
-    else:
-        try:
-            seed, source = int(env), "QROT_SEED"
-        except ValueError:
-            raise ValidationError(f"QROT_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ValidationError(f"{source} must be nonnegative, got {seed}")
-    return seed
 
 
 def _check_nonnegative(value, flag):
@@ -103,8 +84,6 @@ def _config(args):
         kwargs["tol_residual"] = args.tol
     if args.max_sweeps is not None:
         kwargs["max_sweeps"] = args.max_sweeps
-    if getattr(args, "normalization", None) is not None:
-        kwargs["normalization"] = args.normalization
     return SolverConfig(**kwargs)
 
 
@@ -143,7 +122,6 @@ def _report_dict(inst, generator, symmetric, p, report, cfg):
         "provenance": {
             "tol_residual": cfg.tol_residual,
             "max_sweeps": cfg.max_sweeps,
-            "normalization": cfg.normalization,
         },
     }
 
@@ -160,10 +138,6 @@ def cmd_solve(args):
     cfg = _config(args)
     loaded = qio.load_instance(args.input)
     inst, symmetric = _instance(loaded, args)
-    if symmetric and args.normalization is not None:
-        raise ValidationError(
-            "a self-transport solve takes no --normalization: the shift cancels in (f + g) / 2"
-        )
     p, report = _solve(inst, symmetric, cfg)
     doc = _report_dict(inst, loaded.generator, symmetric, p, report, cfg)
     _emit(qio.canonical_json(doc), args.out)
@@ -171,7 +145,8 @@ def cmd_solve(args):
 
 
 def cmd_analyze(args):
-    seed = _seed(args)
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     if not 0 <= args.tau_rel < 1:
         # the support threshold is tau_rel * max(z): from 1 on no cell is above it
         raise ValidationError(f"--tau-rel must be in [0, 1), got {args.tau_rel!r}")
@@ -242,10 +217,10 @@ def cmd_analyze(args):
             "dimension": pd.dimension,
             "rigid_pairs": pd.rigid_pairs,
         },
-        "provenance": {"tau_rel": args.tau_rel, "seed": seed},
+        "provenance": {"tau_rel": args.tau_rel, "seed": args.seed},
     }
     if args.samples > 0:
-        out["sampled_shifts"] = sample_shifts(pd, args.samples, seed)
+        out["sampled_shifts"] = sample_shifts(pd, args.samples, args.seed)
     _emit(qio.canonical_json(out), args.out)
     return 0
 
@@ -327,7 +302,6 @@ def _build_parser():
         return sp
 
     sp = add_command("solve", cmd_solve, "solve and write a report")
-    sp.add_argument("--normalization", choices=NORMALIZATIONS, default=None)
     sp.add_argument("--out", default=None, help="report path (default: stdout)")
 
     sp = add_command(

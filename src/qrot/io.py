@@ -86,10 +86,13 @@ def _floats(value):
 
 
 def _numeric(doc, key, convert, owner=""):
-    """``convert(doc[key])``; a ValidationError naming the field if it is absent or not numeric."""
+    """``convert(doc[key])``; a ValidationError naming the field if it is absent or not
+    numeric, a bare JSON boolean included."""
     if key not in doc:
         raise ValidationError(f"{owner}missing field {key!r}")
     try:
+        if isinstance(doc[key], bool):
+            raise TypeError
         return convert(doc[key])
     except (TypeError, ValueError):
         raise ValidationError(f"{owner}field {key!r} is not numeric") from None

@@ -167,6 +167,8 @@ def _epsilon(epsilon):
     """``epsilon`` as a float; a ValidationError naming the fault unless it is
     a finite positive number."""
     try:
+        if isinstance(epsilon, (bool, np.bool_)):
+            raise TypeError
         value = float(epsilon)
     except (TypeError, ValueError):
         raise ValidationError(f"epsilon must be a number, got {epsilon!r}") from None

@@ -34,6 +34,8 @@ invariant under ``(f, g) -> (g, f)``, so the average ``(f + g) / 2`` of an
 optimal pair is an optimal symmetric potential.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +59,6 @@ __all__ = [
     "solve_symmetric",
 ]
 
-NORMALIZATIONS = ("anchor_first_component_zero", "mean_zero_f", "none")
-
 ARMIJO = 1e-4  # fraction of the predicted dual increase a Newton step must reach
 IMBALANCE_TOL = 1e-13  # component mass imbalance below which it is round-off (total mass is 1)
 MAX_BACKTRACKS = 60  # step halvings before a Newton step gives way to a sweep
@@ -74,17 +74,16 @@ class SolverConfig:
 
     tol_residual: float = 1e-10
     max_sweeps: int = 100_000
-    normalization: str = "anchor_first_component_zero"
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+        if isinstance(self.tol_residual, bool) or not isinstance(self.tol_residual, numbers.Real):
+            raise ValidationError(f"tol_residual must be a number, got {self.tol_residual!r}")
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
             raise ValidationError("tol_residual must be finite and positive")
+        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral):
+            raise ValidationError(f"max_sweeps must be an integer, got {self.max_sweeps!r}")
         if self.max_sweeps < 1:
             raise ValidationError("max_sweeps must be at least 1")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValidationError(
-                f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
-            )
 
 
 def _pw_roots(thresholds, weights, targets):
@@ -131,14 +130,6 @@ def sweep(inst, p):
     f, _ = _pw_roots(inst.cost - p.g[None, :], inst.nu_tilde, inst.epsilon * inst.mu_ratio)
     g, _ = _pw_roots(inst.cost.T - f[None, :], inst.mu_tilde, inst.epsilon * inst.nu_ratio)
     return Potentials(f=f, g=g)
-
-
-def _normalize(p, mode):
-    if mode == "anchor_first_component_zero":
-        return shift_potentials(p, -p.f[0])
-    if mode == "mean_zero_f":
-        return shift_potentials(p, -float(np.mean(p.f)))
-    return p
 
 
 @dataclass(frozen=True)
@@ -294,8 +285,8 @@ def solve(inst, cfg=None, init=None):
     iteration takes the residual and the dual value from the density of
     its new iterate; a dual value that falls by more than ``1e-12 * (1 +
     |previous value|)``, far above its round-off, raises ``RuntimeError``.
-    The configured normalization shift is applied once after the loop, and
-    the report is taken from the one density of the shifted potentials
+    After the loop the pair is shifted once so that ``f[0] = 0``, and the
+    report is taken from the one density of the shifted potentials
     returned. Non-convergence is reported through ``report.converged =
     False``, not raised: it says whether the last iterate is within the
     tolerance.
@@ -342,7 +333,7 @@ def solve(inst, cfg=None, init=None):
         if converged and within_before:
             break
 
-    p = _normalize(p, cfg.normalization)
+    p = shift_potentials(p, -p.f[0])
     z = density_from_potentials(inst, p)
     return p, _report(inst, p, z, z, iterations, converged)
 
@@ -363,10 +354,11 @@ def solve_symmetric(inst, cfg=None, init=None):
 
     Requires ``n = m``, equal marginals, equal references and a symmetric
     cost. Runs :func:`solve` and averages its pair to ``(f + g) / 2``, which
-    is optimal because the dual is concave and symmetric; the normalization
-    shift cancels in the average. If the average misses ``cfg.tol_residual``,
-    :func:`solve` runs again from it on the rest of the iteration budget.
-    The report counts the sweeps and Newton steps of all rounds.
+    is optimal because the dual is concave and symmetric; the shift that
+    :func:`solve` applies cancels in the average. If the average misses
+    ``cfg.tol_residual``, :func:`solve` runs again from it on the rest of the
+    iteration budget. The report counts the sweeps and Newton steps of all
+    rounds.
     """
     _check_self_transport(inst)
     cfg = cfg or SolverConfig()

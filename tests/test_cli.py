@@ -236,41 +236,6 @@ class TestSolveCommand:
         assert captured.err == ""
         assert json.loads(captured.out)["report"]["converged"] is True
 
-    def test_normalization_modes(self, tmp_path, capsys):
-        # the three modes shift the same optimal pair, so the density is the same
-        path = write_json(tmp_path / "inst.json", quadratic_doc(12))
-        pairs = {}
-        for mode in ("anchor_first_component_zero", "mean_zero_f", "none"):
-            assert main(["solve", path, "--eps", "0.05", "--normalization", mode]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["provenance"]["normalization"] == mode
-            pairs[mode] = Potentials(*(np.array(doc["potentials"][key]) for key in "fg"))
-        assert pairs["anchor_first_component_zero"].f[0] == 0.0
-        assert abs(np.mean(pairs["mean_zero_f"].f)) <= 1e-12
-        inst = instance_from_dict(doc["instance"]).instance
-        z = density_from_potentials(inst, pairs["none"])
-        for p in pairs.values():
-            np.testing.assert_allclose(density_from_potentials(inst, p), z, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("where", ["file", "flag"])
-    def test_normalization_rejected_on_self_transport(self, tmp_path, capsys, monkeypatch, where):
-        # f = g = (f + g) / 2 cancels any shift, so the flag would be ignored
-        inst = random_symmetric_instance(np.random.default_rng(0))
-        path = write_json(tmp_path / "inst.json", instance_to_dict(inst, symmetric=where == "file"))
-        calls = []
-        monkeypatch.setattr(qrot.cli, "solve_symmetric", lambda *args: calls.append(args))
-        flags = ["--symmetric"] if where == "flag" else []
-        out = tmp_path / "report.json"
-        rc = main(["solve", path, *flags, "--normalization", "none", "--out", str(out)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.err == (
-            "error: a self-transport solve takes no --normalization:"
-            " the shift cancels in (f + g) / 2\n"
-        )
-        assert calls == []
-        assert not out.exists()
-
     def test_dual_decrease_exit_two(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         # a sweep that lowers both potentials lowers the dual value
@@ -486,16 +451,6 @@ class TestAnalyzeCommand:
         second = json.loads(capsys.readouterr().out)
         assert first["sampled_shifts"] == second["sampled_shifts"]
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
-        monkeypatch.setenv("QROT_SEED", "9")
-        main(["analyze", path, "--samples", "3", "--seed", "1234"])
-        env_doc = json.loads(capsys.readouterr().out)
-        monkeypatch.delenv("QROT_SEED")
-        main(["analyze", path, "--samples", "3", "--seed", "9"])
-        flag_doc = json.loads(capsys.readouterr().out)
-        assert env_doc["sampled_shifts"] == flag_doc["sampled_shifts"]
-
     def test_negative_seed_exit_one(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
         rc = main(["analyze", path, "--samples", "1", "--seed", "-1"])
@@ -503,16 +458,6 @@ class TestAnalyzeCommand:
         assert rc == 1
         assert captured.out == ""
         assert captured.err.startswith("error: --seed must be nonnegative")
-        assert captured.err.count("\n") == 1
-
-    def test_non_integer_env_seed_exit_one(self, tmp_path, capsys, monkeypatch):
-        path = write_json(tmp_path / "inst.json", offdiag_doc(1.0))
-        monkeypatch.setenv("QROT_SEED", "abc")
-        rc = main(["analyze", path, "--samples", "1"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: QROT_SEED must be an integer")
         assert captured.err.count("\n") == 1
 
     def test_negative_samples_exit_one(self, tmp_path, capsys):
@@ -589,15 +534,16 @@ class TestSweepCommand:
             pytest.param("analyze", ["--normalization", "none"], id="analyze-normalization"),
             pytest.param("verify", ["--normalization", "none"], id="verify-normalization"),
             pytest.param("oracle", ["--normalization", "none"], id="oracle-normalization"),
+            pytest.param("solve", ["--normalization", "none"], id="solve-normalization"),
             pytest.param("sweep", ["--eps", "0.1"], id="sweep-eps"),
             pytest.param("sweep", ["--symmetric"], id="sweep-symmetric"),
         ],
     )
     def test_seed_unrecognized(self, tmp_path, capsys, command, flag):
         # only analyze draws random numbers or builds the support, so only it
-        # takes --seed and --tau-rel; only solve writes potentials, so only it
-        # takes --normalization; sweep takes its epsilons from --eps-list and
-        # always runs the general solve
+        # takes --seed and --tau-rel; no command takes --normalization, since
+        # solve always returns the pair with f[0] = 0; sweep takes its
+        # epsilons from --eps-list and always runs the general solve
         path = write_json(tmp_path / "grid.json", quadratic_doc(8))
         extra = {
             "sweep": ["--eps-list", "1,0.1", "--delta", "0.2", "--out", str(tmp_path / "x.csv")],
@@ -810,7 +756,7 @@ class TestReportSchema:
         assert set(doc) == {
             "schema_version", "instance", "report", "potentials", "density", "provenance"
         }
-        assert set(doc["provenance"]) == {"tol_residual", "max_sweeps", "normalization"}
+        assert set(doc["provenance"]) == {"tol_residual", "max_sweeps"}
         assert doc["instance"]["schema_version"] == 1
         assert doc["instance"]["generator"] == {"kind": "indicator_offdiag", "gamma": 1.0}
         assert "cost" not in doc["instance"]
@@ -901,10 +847,18 @@ class TestMalformedReports:
             (_set("none", "provenance"), "report field 'provenance' must be a JSON object"),
             (_set("abc", "provenance", "tol_residual"), "report field 'provenance': field"),
             (_set(-1.0, "provenance", "tol_residual"), "report tol_residual must be finite"),
+            (
+                _set(True, "provenance", "tol_residual"),
+                "report field 'provenance': field 'tol_residual' is not numeric",
+            ),
             (_set(4, "schema_version"), "report schema_version must be one of (1, 2, 3), got 4"),
             (_drop("schema_version"), "report schema_version must be one of (1, 2, 3), got None"),
             (_set(5, "instance", "generator"), "generator must be a JSON object"),
             (_set("abc", "instance", "generator", "gamma"), "generator indicator_offdiag: field"),
+            (
+                _set(True, "instance", "generator", "gamma"),
+                "generator indicator_offdiag: field 'gamma' is not numeric",
+            ),
             (_set(["a", "b"], "instance", "mu"), "field 'mu' is not numeric"),
             (_set("false", "instance", "symmetric"), "field 'symmetric' must be true or false"),
             (
@@ -999,7 +953,19 @@ class TestMalformedInputFiles:
                 id="epsilon",
             ),
             pytest.param(
+                "solve",
+                _instance_text(epsilon=True),
+                "epsilon must be a number, got True",
+                id="epsilon-bool",
+            ),
+            pytest.param(
                 "solve", _instance_text(epsilon=math.inf), "nonfinite epsilon", id="epsilon-inf"
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(generator={"kind": "indicator_offdiag", "gamma": True}),
+                "generator indicator_offdiag: field 'gamma' is not numeric",
+                id="gamma-bool",
             ),
             pytest.param(
                 "solve",
