@@ -71,7 +71,9 @@ class LoadedInstance:
     """A validated instance plus file-level metadata the solver core does not need.
 
     ``generator`` is the validated generator echo that reports store in
-    place of the expanded cost; None for a dense-cost instance.
+    place of the expanded cost, None for a dense-cost instance. A
+    ``quadratic_1d`` echo holds the float arrays ``x`` and ``y`` themselves,
+    which :func:`canonical_json` writes with the bytes of their ``tolist()``.
     """
 
     instance: Instance
@@ -124,7 +126,7 @@ def _generator_cost(gen, n, m):
             cost = (x[:, None] - y[None, :]) ** 2
         if not np.isfinite(cost).all():
             raise ValidationError(f"{owner}points give a nonfinite squared distance")
-        return cost, x, y, {"kind": kind, "x": x.tolist(), "y": y.tolist()}
+        return cost, x, y, {"kind": kind, "x": x, "y": y}
     if kind == "indicator_offdiag":
         if n != m:
             raise ValidationError(
@@ -178,9 +180,9 @@ def instance_to_dict(inst, symmetric=False, generator=None):
     """Instance document of ``inst`` for :func:`canonical_json`; with a generator
     echo in place of the dense cost.
 
-    The weights and the cost stay numpy arrays, which ``canonical_json``
-    writes with the bytes of their ``tolist()``; ``json.dumps`` does not take
-    them.
+    The weights, the cost and the points of a ``quadratic_1d`` echo stay
+    numpy arrays, which ``canonical_json`` writes with the bytes of their
+    ``tolist()``; ``json.dumps`` does not take them.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -288,8 +288,10 @@ def solve(inst, cfg=None, init=None):
     After the loop the pair is shifted once so that ``f[0] = 0``, and the
     report is taken from the one density of the shifted potentials
     returned. Non-convergence is reported through ``report.converged =
-    False``, not raised: it says whether the last iterate is within the
-    tolerance.
+    False``, not raised: it says whether the returned pair is within the
+    tolerance, ``report.marginal_residual <= cfg.tol_residual``. The shift
+    rounds ``f`` and ``g``, so a last iterate on the round-off floor can be
+    within the tolerance and the returned pair not.
 
     Parameters
     ----------
@@ -335,6 +337,7 @@ def solve(inst, cfg=None, init=None):
 
     p = shift_potentials(p, -p.f[0])
     z = density_from_potentials(inst, p)
+    converged = max_residual(inst, z) <= cfg.tol_residual
     return p, _report(inst, p, z, z, iterations, converged)
 
 

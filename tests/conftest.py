@@ -138,6 +138,24 @@ def tiny_eps_symmetric_instance():
     return validate_instance(weights, weights, (cost + cost.T) / 2, epsilon=1e-12)
 
 
+def tied_cost_instance(seed):
+    """ROADMAP item 1's recipe: 40 rows, 4 columns, tied quadratic costs on a
+    grid of five points, a row reference away from mu, and eps = 1e-6 * max cost."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 5, 40) / 4
+    y = rng.integers(0, 5, 4) / 4
+    cost = (x[:, None] - y[None, :]) ** 2
+    mu_tilde = rng.uniform(0.5, 1.5, 40)
+    return validate_instance(
+        np.full(40, 1 / 40),
+        np.full(4, 1 / 4),
+        cost,
+        mu_tilde=mu_tilde / mu_tilde.sum(),
+        nu_tilde=np.full(4, 1 / 4),
+        epsilon=1e-6 * cost.max(),
+    )
+
+
 def block_instance(rng, k, rows=2, cols=2, spread=0.3):
     """``k`` diagonal blocks of ``rows x cols`` cells, one support component each.
 

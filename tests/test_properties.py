@@ -16,6 +16,8 @@ iteration budget, converged or not, including symmetric uniform-weight
 instances down to eps_rel = 1e-14, where the density amplifies the rounding
 of ``f + g - cost`` by up to 1e14. On block-cost and ``indicator_offdiag``
 instances with several components, the polytope is checked to be finite.
+Every ``solve`` and ``solve_symmetric`` call here checks that ``converged``
+is the verdict on the reported residual, converged or not.
 """
 
 from unittest import mock
@@ -41,6 +43,11 @@ from conftest import block_instance, brute_polytope, tiny_eps_symmetric_instance
 from test_support import assert_matches_bfs
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def assert_verdict(report, cfg):
+    """``converged`` is the verdict on the returned pair, whose residual is reported."""
+    assert report.converged == (report.marginal_residual <= cfg.tol_residual)
 
 
 @st.composite
@@ -85,6 +92,7 @@ def test_solve_converges_with_weak_duality_and_monotone_dual(inst):
     with mock.patch.object(qrot.solver, "_dual_value", recording):
         p, report = solve(inst, cfg)
 
+    assert_verdict(report, cfg)
     assert report.converged
     assert report.marginal_residual <= cfg.tol_residual
     # one dual value at the start and one per sweep or Newton step, never decreasing
@@ -101,7 +109,9 @@ def test_solve_converges_with_weak_duality_and_monotone_dual(inst):
 @settings(PROPERTY_SETTINGS, max_examples=50)
 @given(instances(max_size=6, min_eps_exponent=-2.0))
 def test_solve_density_matches_projection_oracle(inst):
-    p, report = solve(inst, SolverConfig())
+    cfg = SolverConfig()
+    p, report = solve(inst, cfg)
+    assert_verdict(report, cfg)
     assert report.converged
     z_solve = density_from_potentials(inst, p)
     z_project = project(inst)
@@ -142,7 +152,9 @@ def symmetric_uniform_instances(draw):
 @example((tiny_eps_symmetric_instance(), True), 300)
 def test_polytope_matches_per_block_oracle(case, budget):
     inst, symmetric = case
-    p, _ = (solve_symmetric if symmetric else solve)(inst, SolverConfig(max_sweeps=budget))
+    cfg = SolverConfig(max_sweeps=budget)
+    p, report = (solve_symmetric if symmetric else solve)(inst, cfg)
+    assert_verdict(report, cfg)
     s = support_set(density_from_potentials(inst, p))
     d = components(s)
     # the slack is the negated density of p, so the solve's own support is consistent
@@ -176,7 +188,9 @@ def multi_component_instances(draw):
 @given(multi_component_instances())
 def test_polytope_of_several_components_is_finite(inst):
     # the analysis writes a and dist as plain JSON numbers, which have no infinity
-    p, report = solve(inst)
+    cfg = SolverConfig()
+    p, report = solve(inst, cfg)
+    assert_verdict(report, cfg)
     assert report.converged
     s = support_set(density_from_potentials(inst, p))
     d = components(s)

@@ -25,6 +25,7 @@ from conftest import (
     block_instance,
     random_instance,
     random_symmetric_instance,
+    tied_cost_instance,
     two_point_offdiag,
     two_point_ondiag,
 )
@@ -531,24 +532,6 @@ class TestSupportSystemReuse:
         assert report == fresh  # iterations and objective values, exactly
 
 
-def tied_cost_instance(seed):
-    """ROADMAP item 1's recipe: 40 rows, 4 columns, tied quadratic costs on a
-    grid of five points, a row reference away from mu, and eps = 1e-6 * max cost."""
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 5, 40) / 4
-    y = rng.integers(0, 5, 4) / 4
-    cost = (x[:, None] - y[None, :]) ** 2
-    mu_tilde = rng.uniform(0.5, 1.5, 40)
-    return validate_instance(
-        np.full(40, 1 / 40),
-        np.full(4, 1 / 4),
-        cost,
-        mu_tilde=mu_tilde / mu_tilde.sum(),
-        nu_tilde=np.full(4, 1 / 4),
-        epsilon=1e-6 * cost.max(),
-    )
-
-
 class TestStalls:
     """The two stalls of ROADMAP item 1, on its four seeds; the mend removes the markers."""
 
@@ -572,6 +555,16 @@ class TestStalls:
     def test_round_off_floor_ends_early(self, seed):
         _, report = solve(tied_cost_instance(seed), SolverConfig(max_sweeps=200))
         assert report.converged or report.iterations < 200
+
+
+@pytest.mark.parametrize("seed", [47, 110])
+def test_converged_is_the_verdict_on_the_returned_pair(seed):
+    # the last iterate is within the tolerance, and the shift to f[0] = 0 lifts
+    # the residual of the returned pair to 1.185e-10 (seed 47) and 1.146e-10 (110)
+    cfg = SolverConfig(max_sweeps=200)
+    _, report = solve(tied_cost_instance(seed), cfg)
+    assert report.marginal_residual > cfg.tol_residual
+    assert not report.converged
 
 
 class TestSolveSymmetric:
