@@ -32,15 +32,9 @@ from .polytope import (
     symmetric_shift_interval,
     verify_potentials,
 )
-from .projection import DykstraState, ProjectionError, project, project_point
+from .projection import ProjectionError, project
 from .solver import SolverConfig, solve, solve_symmetric, sweep
-from .sparsity import (
-    SweepResult,
-    epsilon_sweep,
-    monotone_coupling_1d,
-    northwest_corner,
-    sweep_to_csv,
-)
+from .sparsity import SweepResult, epsilon_sweep, monotone_coupling_1d, sweep_to_csv
 from .support import ComponentDecomposition, SupportSet, components, support_set
 
 __version__ = "0.1.0"

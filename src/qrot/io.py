@@ -87,15 +87,29 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
+def _no_bools_or_strings(value):
+    """``value``; a TypeError if it is, or its nested lists hold, a boolean or a
+    string, which ``float`` and numpy would read as a number. One type scan
+    per innermost list."""
+    if type(value) is list:
+        types = set(map(type, value))
+        if list in types:
+            for row in value:
+                _no_bools_or_strings(row)
+        elif bool in types or str in types:
+            raise TypeError
+    elif type(value) in (bool, str):
+        raise TypeError
+    return value
+
+
 def _numeric(doc, key, convert, owner=""):
     """``convert(doc[key])``; a ValidationError naming the field if it is absent or not
-    numeric, a bare JSON boolean included."""
+    numeric, a JSON boolean or string included, bare or inside an array."""
     if key not in doc:
         raise ValidationError(f"{owner}missing field {key!r}")
     try:
-        if isinstance(doc[key], bool):
-            raise TypeError
-        return convert(doc[key])
+        return convert(_no_bools_or_strings(doc[key]))
     except (TypeError, ValueError):
         raise ValidationError(f"{owner}field {key!r} is not numeric") from None
 
@@ -164,9 +178,10 @@ def instance_from_dict(doc):
         for key in ("mu_tilde", "nu_tilde")
     )
 
-    inst = validate_instance(
-        mu, nu, cost, mu_tilde=mu_tilde, nu_tilde=nu_tilde, epsilon=doc.get("epsilon", 1.0)
-    )
+    epsilon = doc.get("epsilon", 1.0)
+    if isinstance(epsilon, str):  # float() reads "1.0" and "nan"; validation rejects the rest
+        raise ValidationError(f"epsilon must be a number, got {epsilon!r}")
+    inst = validate_instance(mu, nu, cost, mu_tilde=mu_tilde, nu_tilde=nu_tilde, epsilon=epsilon)
     return LoadedInstance(
         instance=inst,
         symmetric=_symmetric(doc),

@@ -316,16 +316,17 @@ def dual_objective(inst, p):
     return _dual_value(inst, p, density_from_potentials(inst, p))
 
 
-def duality_gap(inst, p, z, iterations=0, converged=False):
+def duality_gap(inst, p, z):
     """Assemble a :class:`SolveReport` for a primal/dual pair.
 
     The gap is zero exactly when the density ``z`` is feasible and equals the
     density induced by ``p``; for feasible ``z`` it is nonnegative up to
     round-off. Raises a ValidationError unless ``z`` is a nonnegative ``(n,
-    m)`` matrix.
+    m)`` matrix. No solve ran, so the report has ``iterations`` 0 and
+    ``converged`` false.
     """
     z = _check_density(inst, z)
-    return _report(inst, p, z, density_from_potentials(inst, p), iterations, converged)
+    return _report(inst, p, z, density_from_potentials(inst, p), 0, False)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ optimal pair is an optimal symmetric potential.
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -358,21 +358,14 @@ def solve_symmetric(inst, cfg=None, init=None):
     Requires ``n = m``, equal marginals, equal references and a symmetric
     cost. Runs :func:`solve` and averages its pair to ``(f + g) / 2``, which
     is optimal because the dual is concave and symmetric; the shift that
-    :func:`solve` applies cancels in the average. If the average misses
-    ``cfg.tol_residual``, :func:`solve` runs again from it on the rest of the
-    iteration budget. The report counts the sweeps and Newton steps of all
-    rounds.
+    :func:`solve` applies cancels in the average. ``report.converged`` is the
+    verdict on the average, ``report.marginal_residual <= cfg.tol_residual``.
     """
     _check_self_transport(inst)
     cfg = cfg or SolverConfig()
-    p = init
-    converged = False
-    sweeps = 0
-    while not converged and sweeps < cfg.max_sweeps:
-        q, report = solve(inst, replace(cfg, max_sweeps=cfg.max_sweeps - sweeps), init=p)
-        sweeps += report.iterations
-        f = 0.5 * (q.f + q.g)
-        p = Potentials(f=f, g=f, symmetric=True)
-        z = density_from_potentials(inst, p)
-        converged = max_residual(inst, z) <= cfg.tol_residual
-    return p, _report(inst, p, z, z, sweeps, converged)
+    q, report = solve(inst, cfg, init=init)
+    f = 0.5 * (q.f + q.g)
+    p = Potentials(f=f, g=f, symmetric=True)
+    z = density_from_potentials(inst, p)
+    converged = max_residual(inst, z) <= cfg.tol_residual
+    return p, _report(inst, p, z, z, report.iterations, converged)

@@ -27,17 +27,14 @@ from .support import support_set
 
 __all__ = [
     "SweepResult",
-    "northwest_corner",
     "monotone_coupling_1d",
     "epsilon_sweep",
     "sweep_to_csv",
 ]
 
 
-def northwest_corner(mu, nu):
-    """Greedy plan matching cumulative masses of two weight vectors."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+def _northwest_corner(mu, nu):
+    """Greedy plan matching cumulative masses of two float weight arrays."""
     plan = np.zeros((mu.size, nu.size))
     remaining_mu = mu.copy()
     remaining_nu = nu.copy()
@@ -73,7 +70,7 @@ def monotone_coupling_1d(xs, mu, ys, nu):
             f"dimension mismatch: points have shapes {xs.shape}, {ys.shape},"
             f" expected {mu.shape}, {nu.shape}"
         )
-    return northwest_corner(mu, nu)
+    return _northwest_corner(mu, nu)
 
 
 def _epsilon_schedule(epsilons):

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from qrot import Potentials, ValidationError, northwest_corner, validate_instance
+from qrot import Potentials, ValidationError, project, validate_instance
 from qrot.io import instance_from_dict
+from qrot.sparsity import _northwest_corner
 
 
 def pytest_runtest_logreport(report):
@@ -194,12 +195,20 @@ def random_feasible_density(rng, inst, n_plans=3):
     for _ in range(n_plans):
         rows = rng.permutation(inst.n)
         cols = rng.permutation(inst.m)
-        plan = northwest_corner(inst.mu[rows], inst.nu[cols])
+        plan = _northwest_corner(inst.mu[rows], inst.nu[cols])
         full = np.zeros((inst.n, inst.m))
         full[np.ix_(rows, cols)] = plan
         densities.append(full / inst.ref_weights)
     weights = rng.dirichlet(np.ones(len(densities)))
     return sum(w * z for w, z in zip(weights, densities))
+
+
+def project_point(inst, point):
+    """Dykstra projection of ``point`` onto the coupling densities of ``inst``:
+    :func:`qrot.project` of the same weights with cost ``-point`` at epsilon 1,
+    whose run starts from ``point`` itself, bit for bit."""
+    cost = -np.asarray(point, dtype=float)
+    return project(validate_instance(inst.mu, inst.nu, cost, inst.mu_tilde, inst.nu_tilde))
 
 
 # ---------------------------------------------------------------------------

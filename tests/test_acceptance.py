@@ -19,7 +19,6 @@ from qrot import (
     epsilon_sweep,
     primal_objective,
     project,
-    project_point,
     sample_shifts,
     shift_potentials,
     solve,
@@ -36,6 +35,7 @@ from conftest import (
     brute_components,
     midpoint_grid,
     offdiag_family,
+    project_point,
     quadratic_doc,
     random_feasible_density,
     random_instance,
@@ -340,9 +340,7 @@ def test_c08_variational_inequality():
             z_star = project(inst)
             target = -inst.cost / inst.epsilon
             for _ in range(20):
-                feasible, _ = project_point(
-                    inst, rng.normal(size=(inst.n, inst.m))
-                )
+                feasible = project_point(inst, rng.normal(size=(inst.n, inst.m)))
                 inner = np.sum(
                     (z_star - target) * (feasible - z_star) * inst.ref_weights
                 )

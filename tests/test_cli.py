@@ -893,6 +893,40 @@ class TestMalformedReports:
                 _set("false", "potentials", "symmetric"),
                 "report field 'potentials': field 'symmetric' must be true or false, got 'false'",
             ),
+            # booleans and numeric strings, which float and numpy read as numbers
+            pytest.param(
+                _set([True, 0.5], "instance", "nu"), "field 'nu' is not numeric", id="nu-bool"
+            ),
+            pytest.param(
+                _set(["0.5", "0.5"], "instance", "mu_tilde"),
+                "field 'mu_tilde' is not numeric",
+                id="mu-tilde-str",
+            ),
+            pytest.param(
+                _set("1.0", "instance", "epsilon"),
+                "epsilon must be a number, got '1.0'",
+                id="epsilon-str",
+            ),
+            pytest.param(
+                _set("1.0", "instance", "generator", "gamma"),
+                "generator indicator_offdiag: field 'gamma' is not numeric",
+                id="gamma-str",
+            ),
+            pytest.param(
+                _set([0.0, True], "potentials", "g"),
+                "report field 'potentials': field 'g' is not numeric",
+                id="potentials-g-bool",
+            ),
+            pytest.param(
+                _set(["0.0", "0.0"], "potentials", "f"),
+                "report field 'potentials': field 'f' is not numeric",
+                id="potentials-f-str",
+            ),
+            pytest.param(
+                _set("1e-10", "provenance", "tol_residual"),
+                "report field 'provenance': field 'tol_residual' is not numeric",
+                id="tol-residual-str",
+            ),
         ],
     )
     def test_analyze_exit_one(self, tmp_path, capsys, edit, message):
@@ -1012,6 +1046,70 @@ class TestMalformedInputFiles:
                 json.dumps({"f": [0.0, 0.0], "g": [0.0, 0.0], "symmetric": 1}),
                 "potentials file {path}: " + BAD_SYMMETRIC + "1",
                 id="potentials-symmetric-int",
+            ),
+            # booleans and numeric strings, which float and numpy read as numbers
+            pytest.param(
+                "solve", _instance_text(mu=[True, 0.5]), "field 'mu' is not numeric", id="mu-bool"
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(mu=["0.5", "0.5"]),
+                "field 'mu' is not numeric",
+                id="mu-str",
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(epsilon="1.0"),
+                "epsilon must be a number, got '1.0'",
+                id="epsilon-str",
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(generator={"kind": "indicator_offdiag", "gamma": "1.0"}),
+                "generator indicator_offdiag: field 'gamma' is not numeric",
+                id="gamma-str",
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(
+                    {"schema_version": 1, "mu": [0.5, 0.5], "nu": [0.5, 0.5]},
+                    cost=[[0.0, True], [1.0, 0.0]],
+                ),
+                "field 'cost' is not numeric",
+                id="cost-bool",
+            ),
+            pytest.param(
+                "solve",
+                _instance_text(
+                    {"schema_version": 1, "mu": [0.5, 0.5], "nu": [0.5, 0.5]},
+                    cost=[["0", "1"], ["1", "0"]],
+                ),
+                "field 'cost' is not numeric",
+                id="cost-str",
+            ),
+            pytest.param(
+                "solve",
+                _quadratic_text([0.0, True, 2.0, 3.0], [0, 1, 2, 3]),
+                "generator quadratic_1d: field 'x' is not numeric",
+                id="quadratic-points-bool",
+            ),
+            pytest.param(
+                "solve",
+                _quadratic_text([0, 1, 2, 3], ["0", "1", "2", "3"]),
+                "generator quadratic_1d: field 'y' is not numeric",
+                id="quadratic-points-str",
+            ),
+            pytest.param(
+                "verify",
+                json.dumps({"f": [True, 0.0], "g": [0.0, 0.0]}),
+                "potentials file {path}: field 'f' is not numeric",
+                id="potentials-f-bool",
+            ),
+            pytest.param(
+                "verify",
+                json.dumps({"f": [0.0, 0.0], "g": ["0.0", "0.0"]}),
+                "potentials file {path}: field 'g' is not numeric",
+                id="potentials-g-str",
             ),
         ],
     )

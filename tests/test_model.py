@@ -9,7 +9,7 @@ from qrot import (
     duality_gap,
     marginal_residuals,
     primal_objective,
-    project_point,
+    project,
     shift_potentials,
     solve,
     validate_instance,
@@ -18,6 +18,7 @@ from qrot import (
 )
 from conftest import (
     offdiag_family,
+    project_point,
     random_feasible_density,
     random_instance,
     two_point_offdiag,
@@ -120,7 +121,7 @@ class TestDensityFromPotentials:
         p, report = solve(inst)
         assert report.converged
         z_dual = density_from_potentials(inst, p)
-        z_proj, _ = project_point(inst, -inst.cost / inst.epsilon)
+        z_proj = project(inst)
         assert np.max(np.abs(z_dual - z_proj)) <= 1e-6
 
     def test_lipschitz_in_potentials(self):
@@ -254,7 +255,7 @@ class TestDualityGap:
         z_star = density_from_potentials(inst, p)
         gap_star = duality_gap(inst, p, z_star).duality_gap
         # a feasible density from a random start of the projection solver
-        z, _ = project_point(inst, rng.normal(size=(4, 5)))
+        z = project_point(inst, rng.normal(size=(4, 5)))
         report = duality_gap(inst, p, z)
         assert report.duality_gap >= -1e-9
         expected = primal_objective(inst, z) - primal_objective(inst, z_star) + gap_star

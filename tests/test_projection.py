@@ -7,11 +7,10 @@ from qrot import (
     marginal_residuals,
     primal_objective,
     project,
-    project_point,
     solve,
     validate_instance,
 )
-from conftest import random_instance, two_point_offdiag, zero_cost_skewed
+from conftest import project_point, random_instance, two_point_offdiag, zero_cost_skewed
 
 
 def weighted_inner(inst, a, b):
@@ -45,28 +44,17 @@ class TestProject:
             assert max(np.max(np.abs(row)), np.max(np.abs(col))) <= 1e-9
 
     def test_non_convergence_raises_with_state(self):
+        # the error states the cycle budget and the last change of the iterate
         inst = two_point_offdiag(1.0)
-        with pytest.raises(ProjectionError) as excinfo:
+        with pytest.raises(ProjectionError, match=r"within 2 cycles \(last change \d"):
             project(inst, tol=1e-12, max_iter=2)
-        err = excinfo.value
-        assert err.state.z.shape == (2, 2)
-        assert err.state.iteration == 2
-        row, col = err.residuals
-        assert row.shape == (2,)
 
 
 class TestProjectPoint:
-    def test_correction_stays_nonnegative(self):
-        rng = np.random.default_rng(2)
-        inst = random_instance(rng, n=4, m=5)
-        _, state = project_point(inst, rng.normal(size=(4, 5)))
-        assert np.all(state.correction >= 0)
-        assert state.last_change <= 1e-10
-
     def test_projection_of_feasible_point_is_itself(self):
         inst = validate_instance([0.3, 0.7], [0.6, 0.4], np.zeros((2, 2)))
         z_feasible = np.ones((2, 2))
-        z, _ = project_point(inst, z_feasible)
+        z = project_point(inst, z_feasible)
         np.testing.assert_allclose(z, z_feasible, atol=1e-9)
 
     def test_variational_inequality(self):
@@ -75,7 +63,7 @@ class TestProjectPoint:
         z_star = project(inst)
         target = -inst.cost / inst.epsilon
         for _ in range(10):
-            feasible, _ = project_point(inst, rng.normal(size=(5, 6)))
+            feasible = project_point(inst, rng.normal(size=(5, 6)))
             assert weighted_inner(inst, z_star - target, feasible - z_star) >= -1e-6
 
 

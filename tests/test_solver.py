@@ -567,6 +567,17 @@ def test_converged_is_the_verdict_on_the_returned_pair(seed):
     assert not report.converged
 
 
+def symmetric_matching_instances():
+    rng = np.random.default_rng(18)
+    instances = [random_symmetric_instance(rng, n=5) for _ in range(5)]
+    # eps = 0.01; with sweeps alone the averages at (10, 14) and (30, 6) miss
+    # the tolerance, see test_verdict_on_the_average_without_newton
+    for n, seed in [(5, 8), (5, 0), (10, 14), (10, 1), (30, 6), (30, 0)]:
+        rng = np.random.default_rng(seed)
+        instances.append(random_symmetric_instance(rng, n=n, eps=0.01))
+    return instances
+
+
 class TestSolveSymmetric:
     def test_counterexample_family(self):
         gamma = 1.0
@@ -589,14 +600,7 @@ class TestSolveSymmetric:
         np.testing.assert_allclose(z, 1.0, atol=1e-8)
 
     def test_matches_asymmetric_solver(self):
-        rng = np.random.default_rng(18)
-        instances = [random_symmetric_instance(rng, n=5) for _ in range(5)]
-        # eps = 0.01; with sweeps alone the averages at (10, 14) and (30, 6)
-        # miss the tolerance, see test_resolve_round_when_the_average_misses
-        for n, seed in [(5, 8), (5, 0), (10, 14), (10, 1), (30, 6), (30, 0)]:
-            rng = np.random.default_rng(seed)
-            instances.append(random_symmetric_instance(rng, n=n, eps=0.01))
-        for inst in instances:
+        for inst in symmetric_matching_instances():
             p_sym, rep_sym = solve_symmetric(inst)
             p_asym, rep_asym = solve(inst)
             assert rep_sym.converged and rep_asym.converged
@@ -607,26 +611,34 @@ class TestSolveSymmetric:
             assert np.max(np.abs(z_sym - z_asym)) <= 1e-6
             assert abs(rep_sym.dual_value - rep_asym.dual_value) <= 1e-8
 
-    def test_resolve_round_when_the_average_misses(self, monkeypatch):
-        # Newton steps make the first round exact to round-off, and its average
-        # converges; with sweeps alone (no step length to try) the averages of
-        # these instances miss the tolerance and a second round runs
-        monkeypatch.setattr(qrot.solver, "MAX_BACKTRACKS", 0)
-        starts = []
+    def test_calls_solve_once(self, monkeypatch):
+        # the dual is concave and symmetric, so the average of one optimal pair
+        # is optimal: no second solve from the average
+        calls = []
         inner = qrot.solver.solve
 
         def recording(inst, cfg=None, init=None):
-            starts.append(init)
+            calls.append(init)
             return inner(inst, cfg, init)
 
         monkeypatch.setattr(qrot.solver, "solve", recording)
+        for inst in symmetric_matching_instances():
+            calls.clear()
+            _, report = solve_symmetric(inst)
+            assert report.converged
+            assert calls == [None]
+
+    def test_verdict_on_the_average_without_newton(self, monkeypatch):
+        # with sweeps alone (no step length to try) the averages of these
+        # instances miss the tolerance; the report says so of the pair it returns
+        monkeypatch.setattr(qrot.solver, "MAX_BACKTRACKS", 0)
+        tol = SolverConfig().tol_residual
         for n, seed in [(10, 14), (30, 6)]:
-            starts.clear()
             inst = random_symmetric_instance(np.random.default_rng(seed), n=n, eps=0.01)
             p, report = solve_symmetric(inst)
-            assert report.converged
-            assert report.marginal_residual <= SolverConfig().tol_residual
-            assert len(starts) == 2 and starts[1].symmetric
+            assert p.symmetric
+            assert p.f.tobytes() == p.g.tobytes()
+            assert report.converged == (report.marginal_residual <= tol)
 
     def test_asymmetric_input_rejected(self):
         inst = validate_instance([0.5, 0.5], [0.5, 0.5], np.array([[0.0, 1.0], [2.0, 0.0]]))

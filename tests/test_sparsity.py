@@ -13,7 +13,6 @@ from qrot import (
     density_from_potentials,
     epsilon_sweep,
     monotone_coupling_1d,
-    northwest_corner,
     project,
     solve,
     support_set,
@@ -21,7 +20,7 @@ from qrot import (
     with_epsilon,
 )
 from qrot.io import LoadedInstance, instance_from_dict
-from qrot.sparsity import _neighborhood_mask
+from qrot.sparsity import _neighborhood_mask, _northwest_corner
 from conftest import (
     block_cost,
     midpoint_grid,
@@ -83,7 +82,7 @@ class TestMonotoneCoupling:
         mu /= mu.sum()
         nu = rng.uniform(0.1, 1, 4)
         nu /= nu.sum()
-        plan = northwest_corner(mu, nu)
+        plan = _northwest_corner(mu, nu)
         np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-15)
         np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-15)
         assert np.all(plan >= 0)
